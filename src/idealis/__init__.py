@@ -11,17 +11,14 @@ from .space import (  # noqa: F401
     Dyadic,
     Tri,
     canonicalize,
-    complement,
-    intersect,
+    fsigma_member,
     matrix_entry,
     max_level,
-    measure,
+    pack_rows,
     pair,
     seq_code,
     seq_decode,
-    subset,
     tri_or,
-    union,
     unpair,
 )
 from .enumerations import (  # noqa: F401

@@ -11,6 +11,7 @@ names the violated contract).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -293,7 +294,9 @@ def cmd_check(args) -> dict:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by `main`."""
     top = argparse.ArgumentParser(
         prog="idealis",
         description="exact finite-stage toolkit for universal-set constructions",

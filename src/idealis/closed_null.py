@@ -7,18 +7,21 @@ cylinders, where m grows at least linearly in n; the working level L is
 lifted to max(requested level, m) whenever the requested level is too
 shallow for the subset size to be an integer, so the term measure
 1 - 2^-m survives arbitrary parameters and every stage union is full up
-to an error of 2^-n_max unconditionally.
+to an error of 2^-n_max unconditionally.  Membership in the union of
+the rows' complements is decided by ``space.fsigma_member``, the
+evaluator the meager sections use too.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 from math import comb
 
 from .errors import InsufficientPrefix, InsufficientResolution
-from .space import BitWord, Clopen, Tri, _require_level, pair
+from .space import BitWord, Clopen, Tri, _require_level, fsigma_member, matrix_entry, pack_rows
 from .enumerations import kcomb_rank, kcomb_unrank
 
 
@@ -40,25 +43,13 @@ class ETripleParam:
 
     def packed(self) -> tuple:
         """Single prefix carrying the three coordinates as matrix rows."""
-        if self.positions == 0:
-            return ()
-        size = 1 + max(pair(i, self.positions - 1) for i in range(3))
-        cells = [0] * size
-        for i, row in enumerate((self.x0, self.x1, self.x2)):
-            for n, v in enumerate(row):
-                cells[pair(i, n)] = v
-        return tuple(cells)
+        return pack_rows((self.x0, self.x1, self.x2))
 
     @staticmethod
     def from_packed(prefix: Sequence[int], positions: int) -> "ETripleParam":
-        rows = [[], [], []]
-        for i in range(3):
-            for n in range(positions):
-                idx = pair(i, n)
-                if idx >= len(prefix):
-                    raise InsufficientPrefix(idx + 1)
-                rows[i].append(prefix[idx])
-        return ETripleParam(tuple(rows[0]), tuple(rows[1]), tuple(rows[2]))
+        return ETripleParam(
+            *(tuple(matrix_entry(prefix, i, n) for n in range(positions)) for i in range(3))
+        )
 
     def to_json(self) -> dict:
         return {"prefix": list(self.packed()), "positions": self.positions}
@@ -147,6 +138,24 @@ def e_open_encode(v: Clopen, m_max: int) -> ETripleParam:
     return ETripleParam(tuple(x0), tuple(x1), tuple(x2))
 
 
+class _MatrixRow:
+    """Row r of a matrix-coded prefix, readable as a prefix of its own.
+
+    It claims every position, so ``matrix_entry`` on the row never stops
+    early; a missing cell raises InsufficientPrefix from the read of the
+    whole prefix, naming the length the whole prefix needs.
+    """
+
+    def __init__(self, prefix: Sequence[int], r: int):
+        self.prefix, self.r = prefix, r
+
+    def __len__(self) -> int:
+        return sys.maxsize
+
+    def __getitem__(self, c: int) -> int:
+        return matrix_entry(self.prefix, self.r, c)
+
+
 @dataclass(frozen=True)
 class EParam:
     """Rows of triple parameters packed into one prefix."""
@@ -156,31 +165,21 @@ class EParam:
     horizon: int
 
     def row(self, r: int) -> ETripleParam:
-        rows = [[], [], []]
-        for i in range(3):
-            for n in range(self.horizon + 1):
-                idx = pair(r, pair(i, n))
-                if idx >= len(self.prefix):
-                    raise InsufficientPrefix(idx + 1)
-                rows[i].append(self.prefix[idx])
-        return ETripleParam(tuple(rows[0]), tuple(rows[1]), tuple(rows[2]))
+        """Row r, read as the packed triple it stores."""
+        return ETripleParam.from_packed(_MatrixRow(self.prefix, r), self.horizon + 1)
 
     @staticmethod
     def from_triples(triples: Sequence[ETripleParam], horizon: int) -> "EParam":
         if not triples:
             return EParam((), 0, horizon)
-        cells: dict[int, int] = {}
-        for r, t in enumerate(triples):
+        for t in triples:
             if t.positions <= horizon:
                 raise InsufficientPrefix(horizon + 1, what="triple positions")
-            for i, row in enumerate((t.x0, t.x1, t.x2)):
-                for n in range(horizon + 1):
-                    cells[pair(r, pair(i, n))] = row[n]
-        size = 1 + max(cells)
-        prefix = [0] * size
-        for idx, v in cells.items():
-            prefix[idx] = v
-        return EParam(tuple(prefix), len(triples), horizon)
+        if horizon < 0:
+            raise ValueError("horizon must be non-negative")
+        cut = slice(horizon + 1)
+        rows = [ETripleParam(t.x0[cut], t.x1[cut], t.x2[cut]).packed() for t in triples]
+        return EParam(pack_rows(rows), len(triples), horizon)
 
     def to_json(self) -> dict:
         return {"prefix": list(self.prefix), "rows": self.rows, "horizon": self.horizon}
@@ -205,13 +204,6 @@ def e_fsigma_member(p: EParam, z: BitWord, rows: int, n_max: int) -> Tri:
     """
     if n_max > p.horizon:
         raise InsufficientPrefix(n_max, what="stage horizon")
-    cyl = Clopen.cylinder(z)
-    inside_all = True
-    for r in range(rows):
-        triple = p.row(r)
-        full_union = e_open_stage(triple, p.horizon)
-        if not cyl.meets(full_union):
-            return Tri.HOLDS
-        if not cyl.subset(e_open_stage(triple, n_max)):
-            inside_all = False
-    return Tri.FAILS if inside_all else Tri.UNKNOWN
+    return fsigma_member(
+        z, rows, n_max, p.horizon, lambda r, n: e_open_stage(p.row(r), n)
+    )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InsufficientPrefix
-from .space import BairePrefix, Tri, pair
+from .space import BairePrefix, Tri, matrix_entry, pack_rows, pair
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,7 @@ class CountableParam:
     rows: int
 
     def cell(self, n: int, k: int) -> int:
-        idx = pair(n, k)
-        return self.prefix[idx] if idx < len(self.prefix) else 0
+        return matrix_entry(self.prefix, n, k, zero_past_end=True)
 
     def to_json(self) -> dict:
         return {"prefix": list(self.prefix), "rows": self.rows}
@@ -40,14 +39,9 @@ def countable_encode(points: Sequence[BairePrefix], depth: int) -> CountablePara
     for p in points:
         if len(p) < depth:
             raise InsufficientPrefix(depth, what="point")
-    if not points or depth == 0:
-        return CountableParam((), len(points))
-    size = 1 + max(pair(n, m) for n in range(len(points)) for m in range(depth))
-    cells = [0] * size
-    for n, p in enumerate(points):
-        for m in range(depth):
-            cells[pair(n, m)] = p[m]
-    return CountableParam(tuple(cells), len(points))
+    if points and depth < 0:
+        raise ValueError("depth must be non-negative")
+    return CountableParam(pack_rows([p[:depth] for p in points]), len(points))
 
 
 def _support_rows(prefix_len: int) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InsufficientPrefix
-from .space import BairePrefix, seq_code, seq_decode
+from .space import BairePrefix, pair, seq_code, seq_decode
 
 
 @dataclass(frozen=True)
@@ -105,4 +105,16 @@ def laver_witnesses(p: LaverParam, f: BairePrefix, n0: int, n1: int) -> int:
     entries.  Additive over adjacent windows."""
     if len(f) < n1:
         raise InsufficientPrefix(n1)
-    return sum(1 for n in range(n0, n1) if f[n] < p.label(f[:n]))
+    if n0 < 0:
+        raise ValueError("n0 must be non-negative")
+    # codes of f's prefixes, built one entry at a time; they strictly
+    # increase, so past the largest stored code every label is 0
+    top = p.entries[-1][0] if p.entries else -1
+    count, code = 0, 0
+    for n in range(n1):
+        if code > top:
+            break
+        if n >= n0 and f[n] < p.value_at_code(code):
+            count += 1
+        code = pair(code, f[n]) + 1
+    return count

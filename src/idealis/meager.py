@@ -6,8 +6,10 @@ subset of it; because only nonempty subsets are ever selected, the union
 meets every basic open set no matter what the parameter says, so every
 section is dense-at-stage unconditionally.  Encoders pick those subsets
 inside a given clopen target, which pins the stage union under the target
-exactly.  The interval-partition predicate used by the combinatorial
-meager base lives here too.
+exactly.  A meager section is evaluated by ``space.fsigma_member``, the
+evaluator it shares with the closed-null sections.  The
+interval-partition predicate used by the combinatorial meager base lives
+here too.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InsufficientPrefix, NotDense
-from .space import BairePrefix, BitWord, Clopen, Tri, pair
+from .space import BairePrefix, BitWord, Clopen, Tri, fsigma_member, matrix_entry, pack_rows
 from .enumerations import basic_open_cantor, kprime
 
 
@@ -134,14 +136,8 @@ class MeagerParam:
     rows: int
     horizon: int
 
-    def cell(self, r: int, n: int) -> int:
-        idx = pair(r, n)
-        if idx >= len(self.prefix):
-            raise InsufficientPrefix(idx + 1)
-        return self.prefix[idx]
-
     def row(self, r: int, n_max: int) -> DenseOpenParam:
-        return DenseOpenParam(tuple(self.cell(r, n) for n in range(n_max + 1)))
+        return DenseOpenParam(tuple(matrix_entry(self.prefix, r, n) for n in range(n_max + 1)))
 
     def to_json(self) -> dict:
         return {"prefix": list(self.prefix), "rows": self.rows, "horizon": self.horizon}
@@ -157,15 +153,10 @@ class MeagerParam:
 
 def meager_encode(dense_opens: Sequence[Clopen], n_max: int) -> MeagerParam:
     """Pack one dense-open parameter per listed set."""
-    rows = [dense_open_encode(w, n_max) for w in dense_opens]
-    if not rows:
-        return MeagerParam((), 0, n_max)
-    size = 1 + max(pair(r, n) for r in range(len(rows)) for n in range(n_max + 1))
-    cells = [0] * size
-    for r, row in enumerate(rows):
-        for n, v in enumerate(row.prefix):
-            cells[pair(r, n)] = v
-    return MeagerParam(tuple(cells), len(rows), n_max)
+    rows = [dense_open_encode(w, n_max).prefix for w in dense_opens]
+    if rows and n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    return MeagerParam(pack_rows(rows), len(rows), n_max)
 
 
 def meager_eval(p: MeagerParam, z: BitWord, rows: int, n_max: int) -> Tri:
@@ -178,13 +169,6 @@ def meager_eval(p: MeagerParam, z: BitWord, rows: int, n_max: int) -> Tri:
     """
     if n_max > p.horizon:
         raise InsufficientPrefix(n_max, what="stage horizon")
-    cyl = Clopen.cylinder(z)
-    inside_all = True
-    for r in range(rows):
-        full_union = dense_section_stage(p.row(r, p.horizon), p.horizon)
-        if not cyl.meets(full_union):
-            return Tri.HOLDS
-        stage_union = dense_section_stage(p.row(r, n_max), n_max)
-        if not cyl.subset(stage_union):
-            inside_all = False
-    return Tri.FAILS if inside_all else Tri.UNKNOWN
+    return fsigma_member(
+        z, rows, n_max, p.horizon, lambda r, n: dense_section_stage(p.row(r, n), n)
+    )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InsufficientPrefix, InvariantViolated
-from .space import BitWord, Clopen, Dyadic, Tri, pair
+from .space import BitWord, Clopen, Dyadic, Tri, matrix_entry, pack_rows
 from .enumerations import clopen_enum, clopen_rank
 
 # Empty slots placed before each cover row during flattening.  Four is
@@ -71,10 +71,7 @@ class NullParam:
     witness: tuple
 
     def cell(self, n: int, k: int) -> int:
-        idx = pair(n, k)
-        if idx >= len(self.prefix):
-            raise InsufficientPrefix(idx + 1)
-        return self.prefix[idx]
+        return matrix_entry(self.prefix, n, k)
 
     def to_json(self) -> dict:
         return {"prefix": list(self.prefix), "witness": list(self.witness)}
@@ -93,7 +90,7 @@ def _guarded_scan(f: NullParam, n: int, k_hi: int):
     total = Dyadic.zero()
     terms = []
     for k in range(n + 1, k_hi + 1):
-        cand = clopen_enum(n, f.cell(n, k))
+        cand = clopen_enum(n, matrix_entry(f.prefix, n, k))
         if total + cand.measure() < budget:
             total = total + cand.measure()
             terms.append(cand)
@@ -213,19 +210,13 @@ def null_encode_detail(family: CoverFamily) -> NullEncoding:
     )
     witness = tuple(max(last_nonempty + 1, n + 1) for n in range(depth))
 
-    cells: dict[int, int] = {}
-    for n in range(depth):
-        lo = cuts[n + 1]
-        for k in range(lo, witness[n] + 1):
-            if k < len(flat) and not flat[k].is_empty:
-                cells[pair(n, k)] = clopen_rank(n, flat[k])
-    size = 1 + max(
-        [pair(n, witness[n]) for n in range(depth)] + list(cells), default=-1
-    )
-    prefix = [0] * size
-    for idx, v in cells.items():
-        prefix[idx] = v
-    param = NullParam(tuple(prefix), witness)
+    # row n reaches its witness bound and keeps the pieces from cut n+1 on
+    rows = [[0] * (w + 1) for w in witness]
+    for n, row in enumerate(rows):
+        for k in range(cuts[n + 1], min(len(row), len(flat))):
+            if not flat[k].is_empty:
+                row[k] = clopen_rank(n, flat[k])
+    param = NullParam(pack_rows(rows), witness)
     return NullEncoding(param, tuple(flat), tuple(cuts), tuple(blocks))
 
 

@@ -1,5 +1,6 @@
 """Cylinder algebra on Cantor space with exact dyadic measure, plus the
-coding bijections shared by every construction in this package.
+coding bijections, the matrix coding of parameters and the F_sigma
+evaluator shared by the constructions in this package.
 
 Finite data stands in for infinite objects throughout: a 0/1 word denotes
 the cylinder of all sequences extending it, a tuple of naturals is the
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InsufficientPrefix, LevelCapExceeded
 
@@ -280,26 +281,6 @@ def canonicalize(level: int, words: Iterable[BitWord]) -> Clopen:
     return Clopen.from_words(level, words)
 
 
-def measure(c: Clopen) -> Dyadic:
-    return c.measure()
-
-
-def union(a: Clopen, b: Clopen) -> Clopen:
-    return a.union(b)
-
-
-def intersect(a: Clopen, b: Clopen) -> Clopen:
-    return a.intersect(b)
-
-
-def complement(a: Clopen) -> Clopen:
-    return a.complement()
-
-
-def subset(a: Clopen, b: Clopen) -> bool:
-    return a.subset(b)
-
-
 # -- pairing and sequence codes -------------------------------------------
 
 
@@ -336,9 +317,48 @@ def seq_decode(k: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def matrix_entry(f: Sequence[int], n: int, k: int) -> int:
-    """Read cell (n, k) of the square-matrix view of a prefix."""
+def pack_rows(rows: Sequence[Sequence[int]]) -> tuple:
+    """One prefix holding cell (r, c) of the ragged matrix `rows` at
+    pair(r, c); positions no cell lands on hold 0."""
+    size = 1 + max(
+        (pair(r, len(row) - 1) for r, row in enumerate(rows) if row), default=-1
+    )
+    cells = [0] * size
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            cells[pair(r, c)] = v
+    return tuple(cells)
+
+
+def matrix_entry(f: Sequence[int], n: int, k: int, *, zero_past_end: bool = False) -> int:
+    """Read cell (n, k) of the matrix view of a prefix.
+
+    A cell past the end reads as 0 when `zero_past_end` is set (a finitely
+    supported parameter) and raises InsufficientPrefix otherwise.
+    """
     idx = pair(n, k)
     if idx >= len(f):
+        if zero_past_end:
+            return 0
         raise InsufficientPrefix(idx + 1)
     return f[idx]
+
+
+def fsigma_member(
+    z: BitWord, rows: int, n_max: int, horizon: int, stage_union: Callable[[int, int], Clopen]
+) -> Tri:
+    """Membership of the cylinder of `z` in a union of closed sets, each
+    the complement of row r's open union `stage_union(r, n)` at stage n.
+
+    HOLDS when the cylinder misses some row's union at `horizon`, FAILS
+    when it lies inside every row's union at `n_max`, UNKNOWN otherwise.
+    Each row's horizon union is built before its stage union.
+    """
+    cyl = Clopen.cylinder(z)
+    inside_all = True
+    for r in range(rows):
+        if not cyl.meets(stage_union(r, horizon)):
+            return Tri.HOLDS
+        if not cyl.subset(stage_union(r, n_max)):
+            inside_all = False
+    return Tri.FAILS if inside_all else Tri.UNKNOWN

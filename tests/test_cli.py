@@ -5,7 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from idealis.cli import main
+from idealis.cli import build_parser, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_CASES = sorted(p for p in GOLDEN_DIR.glob("*.json"))
@@ -24,6 +24,13 @@ def test_golden(path):
     code, out = run_cli(case["argv"])
     assert out == case["stdout"]
     assert code == case["exit"]
+
+
+def test_parser_reused_after_rejected_argv():
+    assert build_parser() is build_parser()
+    assert run_cli(["space", "pair", "--m", "x"])[0] == 1
+    case = json.loads((GOLDEN_DIR / "space_pair.json").read_text())
+    assert run_cli(case["argv"]) == (case["exit"], case["stdout"])
 
 
 def test_goldens_cover_every_subcommand():

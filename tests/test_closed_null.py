@@ -12,7 +12,7 @@ from idealis.closed_null import (
     e_term,
 )
 from idealis.errors import InsufficientPrefix, InsufficientResolution
-from idealis.space import Clopen, Dyadic, Tri
+from idealis.space import Clopen, Dyadic, Tri, pair
 
 
 def random_triple(rng, positions, x0_bound=3, x1_bound=12):
@@ -148,6 +148,34 @@ class TestMember:
             ]
             decided = {a for a in answers if a is not Tri.UNKNOWN}
             assert len(decided) <= 1
+
+    @pytest.mark.parametrize("cut,required", [(200, 209), (2, 6)])
+    def test_short_prefix_names_first_missing_cell(self, cut, required):
+        # a row is read coordinate by coordinate: a cut at 200 leaves only
+        # row 1's cell (2, 3) at 208 missing; a cut at 2 reports row 0's
+        # cell (0, 1) at 5 before its cell (1, 0) at 2
+        triple = e_open_encode(Clopen.full(), 3)
+        whole = EParam.from_triples([triple, triple], 3)
+        p = EParam(whole.prefix[:cut], 2, 3)
+        for n_max in range(4):
+            with pytest.raises(InsufficientPrefix) as e:
+                e_fsigma_member(p, "01", 2, n_max)
+            assert (e.value.required_length, e.value.what) == (required, "prefix")
+
+    def test_file_format(self):
+        rng = random.Random(53)
+        for _ in range(20):
+            horizon = rng.randint(0, 4)
+            triples = [
+                random_triple(rng, horizon + 1 + rng.randint(0, 2))
+                for _ in range(rng.randint(1, 3))
+            ]
+            p = EParam.from_triples(triples, horizon)
+            assert len(p.prefix) == 1 + pair(len(triples) - 1, pair(2, horizon))
+            for r, t in enumerate(triples):
+                for i, x in enumerate((t.x0, t.x1, t.x2)):
+                    for n in range(horizon + 1):
+                        assert p.prefix[pair(r, pair(i, n))] == x[n]
 
     def test_json_round_trip(self):
         v = Clopen.cylinder("000").complement()

@@ -153,6 +153,13 @@ class TestLaver:
         total = laver_witnesses(p, f, 0, 5)
         assert total == laver_witnesses(p, f, 0, 2) + laver_witnesses(p, f, 2, 5)
 
+    def test_long_f_stops_past_the_longest_labelled_sequence(self):
+        p = laver_encode({(): 2, (1,): 2, (1, 1): 2, (1, 1, 1): 5})
+        f = (1,) * 40
+        expect = sum(f[n] < p.label(f[:n]) for n in range(4))
+        assert expect == 4
+        assert laver_witnesses(p, f, 0, 40) == expect
+
     def test_prefix_contract(self):
         p = laver_encode({})
         with pytest.raises(InsufficientPrefix):

@@ -177,6 +177,17 @@ class TestMeager:
         with pytest.raises(InsufficientPrefix):
             meager_eval(p, "01", rows=1, n_max=5)
 
+    @pytest.mark.parametrize("cut,required", [(10, 14), (3, 6)])
+    def test_short_prefix_names_first_missing_cell(self, cut, required):
+        # two rows, horizon 3: row 0 sits at 0, 2, 5, 9 and row 1 at
+        # 1, 4, 8, 13; a cut at 10 falls inside row 1, a cut at 3 inside row 0
+        whole = meager_encode([Clopen.full(), Clopen.full()], 3)
+        p = MeagerParam(whole.prefix[:cut], 2, 3)
+        for n_max in range(4):
+            with pytest.raises(InsufficientPrefix) as e:
+                meager_eval(p, "01", 2, n_max)
+            assert (e.value.required_length, e.value.what) == (required, "prefix")
+
     def test_json_round_trip(self):
         p = meager_encode([Clopen.from_words(2, ["00", "10"])], 3)
         assert MeagerParam.from_json(p.to_json()) == p

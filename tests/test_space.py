@@ -10,6 +10,7 @@ from idealis.space import (
     Tri,
     canonicalize,
     matrix_entry,
+    pack_rows,
     pair,
     seq_code,
     seq_decode,
@@ -171,11 +172,15 @@ class TestSeqCode:
 class TestMatrixEntry:
     def test_index_zero(self):
         assert matrix_entry((7, 1, 2), 0, 0) == 7
+        assert matrix_entry((7, 1, 2), 0, 0, zero_past_end=True) == 7
 
     def test_insufficient_prefix(self):
-        with pytest.raises(InsufficientPrefix) as e:
-            matrix_entry((1, 2, 3), 1, 1)
-        assert e.value.required_length == 5
+        cases = [((1, 2, 3), 1, 1, 5), ((), 0, 0, 1), ((5,), 1, 0, 2), (tuple(range(9)), 0, 3, 10)]
+        for f, n, k, required in cases:
+            with pytest.raises(InsufficientPrefix) as e:
+                matrix_entry(f, n, k)
+            assert e.value.required_length == required
+            assert matrix_entry(f, n, k, zero_past_end=True) == 0
 
     def test_agrees_with_direct_indexing(self):
         f = tuple(range(40))
@@ -183,6 +188,34 @@ class TestMatrixEntry:
             for k in range(6):
                 if pair(n, k) < len(f):
                     assert matrix_entry(f, n, k) == f[pair(n, k)]
+                    assert matrix_entry(f, n, k, zero_past_end=True) == f[pair(n, k)]
+
+
+class TestPackRows:
+    def test_no_cells(self):
+        assert pack_rows([]) == ()
+        assert pack_rows([(), ()]) == ()
+
+    def test_length_is_one_past_the_last_cell(self):
+        assert pack_rows([(4, 5, 6)]) == (4, 0, 5, 0, 0, 6)
+        assert pack_rows([(), (8,)]) == (0, 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 99), max_size=6), max_size=5))
+    def test_ragged_round_trip(self, rows):
+        f = pack_rows(rows)
+        cells = [pair(r, len(row) - 1) for r, row in enumerate(rows) if row]
+        assert len(f) == 1 + max(cells, default=-1)
+        for r, row in enumerate(rows):
+            for c, v in enumerate(row):
+                assert matrix_entry(f, r, c) == v
+            end = len(row)
+            while pair(r, end) < len(f):
+                end += 1
+            with pytest.raises(InsufficientPrefix) as e:
+                matrix_entry(f, r, end)
+            assert e.value.required_length == pair(r, end) + 1
+            assert matrix_entry(f, r, end, zero_past_end=True) == 0
 
 
 class TestTri:
