@@ -1,27 +1,31 @@
 """Canonical enumerations consumed by the universal-set constructions.
 
 The master clopen enumeration orders canonical clopen sets by
-(canonical level, word-set bitmask value); ranking and unranking walk the
-bitmask digits with binomial counting, so both stay exact far past the
-range where brute-force scans are possible.  Basic open sets, the
-nonempty-basic-subset index, lexicographic words and combinadic subset
-(un)ranking live here as well.
+(canonical level, word-set bitmask value).  Ranking and unranking share
+one walk over the bitmask digits that counts completions with binomial
+prefix sums, each term carried from the last by Pascal's ratio
+C(b, j + 1) = C(b, j) (b - j) / (j + 1), so both stay exact far past
+the range where brute-force scans are possible.  Enumerated sets are
+memoized together with the level cap they were computed under.  Basic
+open sets, the nonempty-basic-subset index, lexicographic words and
+combinadic subset (un)ranking live here as well.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .errors import IndexOutOfRange, LevelCapExceeded, MeasureTooLarge
-from .space import Clopen, index_word, max_level, seq_decode
+from .space import Clopen, index_word, max_level, pair, seq_decode
 
 CANTOR = "cantor"
 BAIRE = "baire"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _tsum(b: int, q: int) -> int:
     """Number of b-bit masks with population count at most q."""
     if q < 0:
@@ -30,7 +34,11 @@ def _tsum(b: int, q: int) -> int:
         return 1 << b
     if q > b - q - 1:
         return (1 << b) - _tsum(b, b - q - 1)
-    return sum(comb(b, j) for j in range(q + 1))
+    term = total = 1
+    for j in range(q):
+        term = term * (b - j) // (j + 1)
+        total += term
+    return total
 
 
 def _popcount_budget(level: int, n: int) -> int:
@@ -51,78 +59,54 @@ def _level_count(level: int, n: int) -> int:
     return _tsum(1 << level, p) - _tsum(1 << (level - 1), p // 2)
 
 
-def _doubled(m: int, q: int, pend) -> int:
-    # completions of m remaining bit positions whose sibling pairs all
-    # agree, with popcount at most q; `pend` is the already-chosen high
-    # half of a split pair (None when the remaining positions pair up).
-    if pend is None:
-        return _tsum(m // 2, q // 2)
-    if pend > q:
-        return 0
-    return _tsum((m - 1) // 2, (q - pend) // 2)
+def _level_walk(level: int, n: int, mask: int = 0, r: int | None = None) -> tuple[int, int]:
+    """Rank ``mask`` within its level or, given ``r``, unrank ``r``.
 
-
-def _completions(m: int, q: int, uniform: bool, pend) -> int:
-    total = _tsum(m, q)
-    if uniform:
-        total -= _doubled(m, q, pend)
-    return total
+    Reads the bits from the top; at each 1 bit the rank gains the masks
+    that agree above it and put 0 there, so ranking counts only at 1 bits.
+    Masks count within the popcount budget ``q``, minus those whose
+    sibling pairs all agree: ``uniform`` says every closed pair agrees so
+    far, ``pend`` is the high bit of an open pair (None when the remaining
+    positions pair up).  Returns (mask, rank).
+    """
+    unranking = r is not None
+    q = _popcount_budget(level, n)
+    uniform, pend = True, None
+    rank = 0
+    for p in range((1 << level) - 1, -1, -1):
+        bit = 0 if unranking else mask >> p & 1
+        if bit or unranking:
+            with_zero = _tsum(p, q)
+            if uniform and pend != 1:
+                # pend is 0 or None: the agreeing completions pair up over
+                # the p // 2 pairs left
+                with_zero -= _tsum(p // 2, q // 2)
+            if unranking and r >= rank + with_zero:
+                bit = 1
+                mask |= 1 << p
+            if bit:
+                rank += with_zero
+                q -= 1
+        if p % 2:
+            pend = bit
+        else:
+            uniform, pend = uniform and pend == bit, None
+    assert q >= 0
+    return mask, rank
 
 
 def _unrank_in_level(level: int, n: int, r: int) -> int:
-    nbits = 1 << level
-    q = _popcount_budget(level, n)
-    uniform, pend = True, None
-    mask = 0
-    for p in range(nbits - 1, -1, -1):
-        if p % 2:
-            st0 = (uniform, 0)
-            st1 = (uniform, 1)
-        else:
-            st0 = (uniform and pend == 0, None)
-            st1 = (uniform and pend == 1, None)
-        with_zero = _completions(p, q, *st0)
-        if r < with_zero:
-            uniform, pend = st0
-        else:
-            r -= with_zero
-            mask |= 1 << p
-            q -= 1
-            uniform, pend = st1
-    assert r == 0 and q >= 0
+    mask, rank = _level_walk(level, n, r=r)
+    assert rank == r
     return mask
 
 
 def _rank_in_level(level: int, n: int, mask: int) -> int:
-    nbits = 1 << level
-    q = _popcount_budget(level, n)
-    uniform, pend = True, None
-    r = 0
-    for p in range(nbits - 1, -1, -1):
-        bit = mask >> p & 1
-        if p % 2:
-            st0 = (uniform, 0)
-            st1 = (uniform, 1)
-        else:
-            st0 = (uniform and pend == 0, None)
-            st1 = (uniform and pend == 1, None)
-        if bit:
-            r += _completions(p, q, *st0)
-            q -= 1
-            uniform, pend = st1
-        else:
-            uniform, pend = st0
-    return r
+    return _level_walk(level, n, mask)[1]
 
 
 @lru_cache(maxsize=1 << 16)
-def clopen_enum(n: int, k: int) -> Clopen:
-    """The k-th canonical clopen set of measure < 2^-n; index 0 is empty.
-
-    Order for k >= 1: ascending canonical level, then ascending word-set
-    bitmask value within a level.  Every qualifying set appears exactly
-    once.
-    """
+def _clopen_enum(n: int, k: int, cap: int) -> Clopen:
     if n < 0 or k < 0:
         raise IndexOutOfRange("enumeration indices are naturals")
     if k == 0:
@@ -135,8 +119,22 @@ def clopen_enum(n: int, k: int) -> Clopen:
             return Clopen(level, _unrank_in_level(level, n, r))
         r -= c
         level += 1
-        if level > max_level():
-            raise LevelCapExceeded(level, max_level())
+        if level > cap:
+            raise LevelCapExceeded(level, cap)
+
+
+def clopen_enum(n: int, k: int, cap: int | None = None) -> Clopen:
+    """The k-th canonical clopen set of measure < 2^-n; index 0 is empty.
+
+    Order for k >= 1: ascending canonical level, then ascending word-set
+    bitmask value within a level.  Every qualifying set appears exactly
+    once.  A set past level ``cap`` (default: the current ``max_level()``)
+    raises LevelCapExceeded; the memo is keyed by the cap as well.
+    """
+    return _clopen_enum(n, k, max_level() if cap is None else cap)
+
+
+clopen_enum.cache_clear = _clopen_enum.cache_clear
 
 
 def clopen_rank(n: int, c: Clopen) -> int:
@@ -235,16 +233,16 @@ def _kprime_cantor(n: int, m: int) -> int:
 
 
 def _kprime_baire(n: int, m: int) -> int:
-    stem = seq_decode(n - 1)
-    seen = 0
-    k = 1
-    while True:
-        cand = seq_decode(k - 1)
-        if cand[: len(stem)] == stem:
-            if seen == m:
-                return k
-            seen += 1
-        k += 1
+    # The stem's extensions in code order.  Popping a code pushes its first
+    # child and its next sibling; both codes exceed it, so the heap's least
+    # code is always the next extension.  Entries: (code, parent, last entry).
+    heap = [(n - 1, None, 0)]
+    for _ in range(m):
+        code, parent, last = heapq.heappop(heap)
+        heapq.heappush(heap, (pair(code, 0) + 1, code, 0))
+        if parent is not None:
+            heapq.heappush(heap, (pair(parent, last + 1) + 1, parent, last + 1))
+    return heap[0][0] + 1
 
 
 def kprime(n: int, m: int, space: str = CANTOR) -> int:

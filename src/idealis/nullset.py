@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InsufficientPrefix, InvariantViolated
-from .space import BitWord, Clopen, Dyadic, Tri, matrix_entry, pack_rows
+from .space import BitWord, Clopen, Dyadic, Tri, matrix_entry, max_level, pack_rows
 from .enumerations import clopen_enum, clopen_rank
 
 # Empty slots placed before each cover row during flattening.  Four is
@@ -89,8 +89,9 @@ def _guarded_scan(f: NullParam, n: int, k_hi: int):
     budget = Dyadic.half_power(n)
     total = Dyadic.zero()
     terms = []
+    cap = max_level()
     for k in range(n + 1, k_hi + 1):
-        cand = clopen_enum(n, matrix_entry(f.prefix, n, k))
+        cand = clopen_enum(n, matrix_entry(f.prefix, n, k), cap=cap)
         if total + cand.measure() < budget:
             total = total + cand.measure()
             terms.append(cand)

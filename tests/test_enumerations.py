@@ -1,12 +1,14 @@
 import itertools
+import random
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealis.errors import IndexOutOfRange, MeasureTooLarge
+from idealis.errors import IndexOutOfRange, LevelCapExceeded, MeasureTooLarge
 from idealis.enumerations import (
     BaireCylinder,
+    _tsum,
     basic_open,
     basic_open_baire,
     basic_open_cantor,
@@ -35,6 +37,30 @@ def brute_master_order(n, level_cap):
                 continue  # representable one level down
             out.append(Clopen(level, mask))
     return out
+
+
+def random_canonical(rng, level, n):
+    """A canonical level-`level` set of measure < 2^-n, bits drawn by rng."""
+    budget = (1 << (level - n)) - 1
+    while True:
+        mask = 0
+        for p in rng.sample(range(1 << level), rng.randint(1, budget)):
+            mask |= 1 << p
+        if Clopen.from_mask(level, mask).level == level:
+            return Clopen(level, mask)
+
+
+class TestTsum:
+    def test_matches_binomial_prefix_sums(self):
+        for b in range(65):
+            for q in range(-1, b + 2):
+                assert _tsum(b, q) == sum(comb(b, j) for j in range(q + 1))
+
+    @pytest.mark.parametrize("b", [1024, 2048, 4096])
+    def test_wide_masks(self, b):
+        prefix = list(itertools.accumulate(comb(b, j) for j in range(b)))
+        for q in (0, 1, b // 2 - 1, b // 2, b - 1):
+            assert _tsum(b, q) == prefix[q]
 
 
 class TestClopenEnum:
@@ -82,6 +108,23 @@ class TestClopenEnum:
         c = Clopen.cylinder("0" * 10)
         for n in (0, 1, 5, 8):
             assert clopen_enum(n, clopen_rank(n, c)) == c
+
+    @given(
+        st.integers(8, 12),
+        st.integers(8, 12),
+        st.sampled_from([0, 1, 3, 6]),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_deep_masks_round_trip_in_order(self, level_a, level_b, n, seed):
+        rng = random.Random(seed)
+        a = random_canonical(rng, level_a, n)
+        b = random_canonical(rng, level_b, n)
+        ra, rb = clopen_rank(n, a), clopen_rank(n, b)
+        assert clopen_enum(n, ra) == a
+        assert clopen_enum(n, rb) == b
+        assert (ra < rb) == ((a.level, a.mask) < (b.level, b.mask))
+        assert (ra == rb) == (a == b)
 
 
 class TestBasicOpen:
@@ -136,6 +179,30 @@ class TestKprime:
         got = [kprime(n, m, space) for m in range(12)]
         assert got == found
         assert got == sorted(got) and len(set(got)) == 12
+
+    def test_baire_matches_linear_scan_for_small_stems(self):
+        # oracle: the linear scan over codes, done once for every stem with
+        # code below 200 -- each decoded sequence counts for each stem that
+        # is one of its prefixes
+        stems = {seq_decode(code): code for code in range(200)}
+        found = {code: [] for code in range(200)}
+        missing = 200 * 7
+        k = 1
+        while missing:
+            cand = seq_decode(k - 1)
+            for i in range(len(cand) + 1):
+                code = stems.get(cand[:i])
+                if code is not None and len(found[code]) < 7:
+                    found[code].append(k)
+                    missing -= 1
+            k += 1
+        for code, ks in found.items():
+            assert [kprime(code + 1, m, "baire") for m in range(7)] == ks
+
+    def test_baire_far_extension(self):
+        # the sixth extension of the stem coded 1999 is its child with
+        # last entry 4, coded pair(1999, 4) + 1 = 2007011
+        assert kprime(2000, 5, "baire") == 2007012
 
 
 class TestLexWord:
@@ -201,6 +268,16 @@ class TestLevelCapInteraction:
             clopen_enum(0, 10**30)
         monkeypatch.delenv("IDEALIS_MAX_LEVEL")
         clopen_enum.cache_clear()
+
+    def test_cached_set_refused_after_cap_lowered(self, monkeypatch):
+        monkeypatch.setenv("IDEALIS_MAX_LEVEL", "12")
+        assert clopen_enum(0, 100000).level == 5
+        monkeypatch.setenv("IDEALIS_MAX_LEVEL", "3")
+        with pytest.raises(LevelCapExceeded):
+            clopen_enum(0, 100000)
+        with pytest.raises(LevelCapExceeded):
+            clopen_enum(0, 100000, cap=4)
+        assert clopen_enum(0, 100000, cap=5).level == 5
 
     def test_deep_basic_open_refuses(self, monkeypatch):
         from idealis.errors import LevelCapExceeded
