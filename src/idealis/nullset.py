@@ -8,6 +8,15 @@ beyond, so every section has measure below 2^-n at every stage no matter
 what the parameter says; the encoder's output is arranged so the guard
 never fires on it.
 
+Each parameter memoizes its guarded scans, one per (row, level cap): the
+guarded terms scanned so far with the accepted total after the last, and
+the stage union and accepted total at each bound asked for.  `null_term`,
+`null_stage` and `null_member` all read from it and extend it on demand,
+so each cell of a row is enumerated once per parameter and cap, and a
+lowered cap never meets a scan made under another.  An extension is
+published by storing a new tuple, so threads sharing a parameter at worst
+repeat work.
+
 The encoder flattens a family of covers row by row, with a few empty
 slots inserted before each row so that every cut point lands ahead of the
 next cover; the suffix of the flattened sequence kept by row n of the
@@ -17,10 +26,10 @@ covered point evaluate as a member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InsufficientPrefix, InvariantViolated
+from .errors import InsufficientPrefix, InvariantViolated, LevelCapExceeded
 from .space import BitWord, Clopen, Dyadic, Tri, matrix_entry, max_level, pack_rows
 from .enumerations import clopen_enum, clopen_rank
 
@@ -65,10 +74,15 @@ class CoverFamily:
 
 @dataclass(frozen=True)
 class NullParam:
-    """Matrix-coded parameter plus per-row stage witnesses."""
+    """Matrix-coded parameter plus per-row stage witnesses.
+
+    ``_scans`` is the guarded-scan memo, keyed by (row, level cap); it
+    takes no part in equality, hashing, ``repr`` or JSON.
+    """
 
     prefix: tuple
     witness: tuple
+    _scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def cell(self, n: int, k: int) -> int:
         return matrix_entry(self.prefix, n, k)
@@ -84,39 +98,70 @@ class NullParam:
         )
 
 
-def _guarded_scan(f: NullParam, n: int, k_hi: int):
-    """Terms k = n+1 .. k_hi after guarding, plus the accepted total."""
+def _row_scan(f: NullParam, n: int, k_hi: int, cap: int):
+    """Row n's memo entry under `cap`, scanned at least to k = k_hi.
+
+    The entry is (terms, total, stages): the guarded terms k = n+1, ...,
+    the accepted total after the last of them, and for each bound asked
+    for so far the stage union and the accepted total there.  A scan
+    resumes where the entry stops; a cell that raises leaves the part
+    before it in the entry, so asking again raises the same error at the
+    same k.
+    """
+    key = (n, cap)
+    entry = f._scans.get(key)
+    if entry is not None and len(entry[0]) >= k_hi - n:
+        return entry
+    terms, total, stages = entry or ((), Dyadic.zero(), {})
+    terms = list(terms)
     budget = Dyadic.half_power(n)
-    total = Dyadic.zero()
-    terms = []
-    cap = max_level()
-    for k in range(n + 1, k_hi + 1):
-        cand = clopen_enum(n, matrix_entry(f.prefix, n, k), cap=cap)
-        if total + cand.measure() < budget:
-            total = total + cand.measure()
-            terms.append(cand)
-        else:
-            terms.append(Clopen.empty())
-    return terms, total
+    try:
+        for k in range(n + 1 + len(terms), k_hi + 1):
+            cand = clopen_enum(n, matrix_entry(f.prefix, n, k), cap=cap)
+            grown = total + cand.measure()
+            if grown < budget:
+                terms.append(cand)
+                total = grown
+            else:
+                terms.append(Clopen.empty())
+    except (InsufficientPrefix, LevelCapExceeded):
+        # Only the errors a cell raises keep the partial scan: those come
+        # before the cell's append, while an interrupt could fall between
+        # the append and the total.
+        f._scans[key] = (tuple(terms), total, stages)
+        raise
+    entry = (tuple(terms), total, stages)
+    f._scans[key] = entry
+    return entry
+
+
+def _stage(f: NullParam, n: int, k_hi: int, cap: int) -> tuple[Clopen, Dyadic]:
+    """Union and accepted total of row n's guarded terms up to k_hi."""
+    terms, total, stages = _row_scan(f, n, k_hi, cap)
+    if k_hi in stages:
+        return stages[k_hi]
+    start = max((j for j in stages if j < k_hi), default=n)
+    union, accepted = stages[start] if start > n else (Clopen.empty(), Dyadic.zero())
+    for term in terms[start - n : k_hi - n]:
+        union = union.union(term)
+        accepted = accepted + term.measure()
+    f._scans[(n, cap)] = (terms, total, {**stages, k_hi: (union, accepted)})
+    return union, accepted
 
 
 def null_term(f: NullParam, n: int, k: int) -> Clopen:
     """The k-th guarded term of row n."""
     if k <= n:
         raise InsufficientPrefix(n + 1, what="term index")
-    terms, _ = _guarded_scan(f, n, k)
-    return terms[-1]
+    terms, _, _ = _row_scan(f, n, k, max_level())
+    return terms[k - n - 1]
 
 
 def null_stage(f: NullParam, n: int, k_hi: int) -> Clopen:
     """Union of the guarded terms of row n up to k_hi; measure < 2^-n."""
     if k_hi <= n:
         raise InsufficientPrefix(n + 1, what="stage bound")
-    terms, _ = _guarded_scan(f, n, k_hi)
-    out = Clopen.empty()
-    for t in terms:
-        out = out.union(t)
-    return out
+    return _stage(f, n, k_hi, max_level())[0]
 
 
 def null_member(f: NullParam, z: BitWord, n_levels: int) -> Tri:
@@ -133,15 +178,12 @@ def null_member(f: NullParam, z: BitWord, n_levels: int) -> Tri:
         raise InsufficientPrefix(n_levels + 1, what="witness list")
     cyl = Clopen.cylinder(z)
     cyl_measure = cyl.measure()
+    cap = max_level()
     scans = []
     for n, k_hi in enumerate(f.witness):
         if k_hi <= n:
             raise InsufficientPrefix(n + 1, what=f"witness bound for row {n}")
-        terms, total = _guarded_scan(f, n, k_hi)
-        stage = Clopen.empty()
-        for t in terms:
-            stage = stage.union(t)
-        scans.append((stage, total))
+        scans.append(_stage(f, n, k_hi, cap))
     if all(cyl.subset(stage) for stage, _ in scans):
         return Tri.HOLDS
     for n in range(n_levels + 1):

@@ -147,11 +147,14 @@ def index_word(index: int, level: int) -> BitWord:
 
 def _reducible(level: int, mask: int) -> bool:
     # A union of level-`level` cylinders drops to level-1 exactly when the
-    # two children of every shorter word are jointly in or jointly out.
-    if level == 0:
+    # two children of every shorter word are jointly in or jointly out;
+    # `even` holds the even-numbered bit of each pair of children.  The
+    # test reads in-range bits only, so a mask out of range is left for
+    # the constructor to reject.
+    if level == 0 or mask < 0 or mask.bit_length() > 1 << level:
         return False
-    bits = format(mask, f"0{1 << level}b")[::-1]
-    return bits[0::2] == bits[1::2]
+    even = ((1 << (1 << level)) - 1) // 3
+    return mask & even == mask >> 1 & even
 
 
 def _reduce_once(level: int, mask: int) -> tuple[int, int]:

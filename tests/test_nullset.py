@@ -1,9 +1,12 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from idealis.errors import InsufficientPrefix, InvariantViolated
+from idealis import nullset
+from idealis.errors import InsufficientPrefix, InvariantViolated, LevelCapExceeded
 from idealis.enumerations import clopen_enum, clopen_rank
 from idealis.nullset import (
     CoverFamily,
@@ -198,3 +201,200 @@ class TestMember:
         f = null_encode(fam)
         assert NullParam.from_json(f.to_json()) == f
         assert CoverFamily.from_json(fam.to_json()).covers == fam.covers
+
+
+def guard_oracle(f, n, k_hi):
+    """Row n's guarded terms up to k_hi and their accepted total, recomputed
+    with Fractions straight from the enumeration."""
+    budget, total, terms = Fraction(1, 2**n), Fraction(0), []
+    for k in range(n + 1, k_hi + 1):
+        cand = clopen_enum(n, f.prefix[pair(n, k)])
+        m = Fraction(cand.word_count(), 2**cand.level)
+        if total + m < budget:
+            total += m
+            terms.append(cand)
+        else:
+            terms.append(Clopen.empty())
+    return terms, total
+
+
+def member_oracle(f, z, n_levels):
+    cyl = Clopen.cylinder(z)
+    rows = [guard_oracle(f, n, w) for n, w in enumerate(f.witness)]
+    stages = []
+    for terms, total in rows:
+        stage = Clopen.empty()
+        for t in terms:
+            stage = stage.union(t)
+        stages.append((stage, total))
+    if all(cyl.subset(stage) for stage, _ in stages):
+        return Tri.HOLDS
+    for n in range(n_levels + 1):
+        stage, total = stages[n]
+        if not cyl.meets(stage) and Fraction(1, 2**n) - total <= Fraction(1, 2 ** len(z)):
+            return Tri.FAILS
+    return Tri.UNKNOWN
+
+
+def ask(f, query):
+    kind, *args = query
+    return {"term": null_term, "stage": null_stage, "member": null_member}[kind](f, *args)
+
+
+def guarded_params(seed, count):
+    """Six rows, cells up to k = 16, 40-bit cells: the guard fires."""
+    rng = random.Random(seed)
+    return [random_param(rng, rows=6, k_hi=16, entry_bound=1 << 40) for _ in range(count)]
+
+
+class TestScanMemo:
+    def test_each_row_enumerated_once(self, monkeypatch):
+        calls = []
+        real = nullset.clopen_enum
+
+        def counted(n, k, cap=None):
+            calls.append(n)
+            return real(n, k, cap=cap)
+
+        monkeypatch.setattr(nullset, "clopen_enum", counted)
+        f = random_param(random.Random(8), rows=6, k_hi=16)
+        for n, w in enumerate(f.witness):
+            for k in range(n + 1, w + 1):
+                null_term(f, n, k)
+            null_stage(f, n, w)
+        null_member(f, "0110", 5)
+        for n, w in enumerate(f.witness):
+            assert calls.count(n) == w - n
+
+    def test_member_reads_the_total_at_the_witness(self):
+        # row 0 accepts the cylinder of "0" at k = 3, past its witness 2;
+        # with that total the budget left could not cover "1"
+        prefix = [0] * (1 + pair(0, 3))
+        prefix[pair(0, 3)] = clopen_rank(0, Clopen.cylinder("0"))
+        f = NullParam(tuple(prefix), (2,))
+        assert null_term(f, 0, 3) == Clopen.cylinder("0")
+        assert null_member(f, "1", 0) is Tri.UNKNOWN
+        assert null_member(NullParam(f.prefix, f.witness), "1", 0) is Tri.UNKNOWN
+
+    def test_any_query_order_matches_fresh_instances_and_oracle(self):
+        for i, f in enumerate(guarded_params(41, 4)):
+            if i % 2:
+                # witnesses short of the cells the term and stage queries read
+                f = NullParam(f.prefix, tuple(n + 3 + 2 * i for n in range(6)))
+            rng = random.Random(i)
+            words = [format(rng.randrange(1 << j), f"0{j}b") for j in (2, 4, 7)]
+            members = [("member", z, nl) for z in words for nl in (0, 3, 5)]
+            terms = [("term", n, k) for n in range(6) for k in range(n + 1, 17)]
+            stages = [("stage", n, k) for n in range(6) for k in range(n + 1, 17)]
+            shuffled = members + terms + stages
+            rng.shuffle(shuffled)
+            orders = [
+                sorted(terms, key=lambda q: -q[2]) + members,
+                members + terms + stages,
+                # a stage below, and then above, a bound already scanned
+                [("stage", n, k) for n in range(6) for k in (16, n + 1, 9, 12, 10)],
+                shuffled,
+            ]
+            for order in orders:
+                g = NullParam(f.prefix, f.witness)
+                for query in order:
+                    got = ask(g, query)
+                    assert got == ask(NullParam(f.prefix, f.witness), query)
+                    kind, *args = query
+                    if kind == "member":
+                        assert got is member_oracle(f, *args)
+                        continue
+                    n, k = args
+                    oracle_terms, _ = guard_oracle(f, n, k)
+                    if kind == "term":
+                        assert got == oracle_terms[-1]
+                    else:
+                        want = Clopen.empty()
+                        for t in oracle_terms:
+                            want = want.union(t)
+                        assert got == want
+                assert NullParam.from_json(g.to_json()) == g
+                assert hash(NullParam.from_json(g.to_json())) == hash(g)
+
+    def test_short_prefix_raises_the_same_error_again(self, monkeypatch):
+        calls = []
+        real = nullset.clopen_enum
+
+        def counted(n, k, cap=None):
+            calls.append(n)
+            return real(n, k, cap=cap)
+
+        monkeypatch.setattr(nullset, "clopen_enum", counted)
+        (f,) = guarded_params(43, 1)
+        cut = pair(2, 9)
+        short = NullParam(f.prefix[:cut], f.witness)
+        queries = [("term", 2, 14), ("stage", 2, 12), ("member", "01", 1)]
+        for query in queries:
+            with pytest.raises(InsufficientPrefix) as fresh:
+                ask(NullParam(short.prefix, short.witness), query)
+            for _ in range(2):
+                with pytest.raises(InsufficientPrefix) as again:
+                    ask(short, query)
+                assert again.value.required_length == fresh.value.required_length
+        # the cells before each missing one were scanned once and kept: row
+        # 2 by the term and stage queries, row 0 by the member query
+        for n in (0, 2):
+            last = max(k for k in range(n + 1, 17) if pair(n, k) < cut)
+            want_terms, want_stage = guard_oracle(f, n, last)[0], null_stage(f, n, last)
+            before = len(calls)
+            assert [null_term(short, n, k) for k in range(n + 1, last + 1)] == want_terms
+            assert null_stage(short, n, last) == want_stage
+            assert len(calls) == before
+
+    def test_lowered_cap_is_not_served_from_the_memo(self, monkeypatch):
+        monkeypatch.setenv("IDEALIS_MAX_LEVEL", "12")
+        for f in guarded_params(47, 3):
+            queries = [("term", n, k) for n in range(6) for k in range(n + 1, 17)]
+            queries += [("stage", n, 16) for n in range(6)] + [("member", "0110", 5)]
+            before = [ask(f, q) for q in queries]
+            monkeypatch.setenv("IDEALIS_MAX_LEVEL", "6")
+            refused = 0
+            for n in range(6):
+                levels = [clopen_enum(n, f.prefix[pair(n, k)], cap=12).level for k in range(n + 1, 17)]
+                deep = [k for k, lev in zip(range(n + 1, 17), levels) if lev > 6]
+                for k in range(n + 1, 17):
+                    if deep and k >= deep[0]:
+                        with pytest.raises(LevelCapExceeded):
+                            null_term(f, n, k)
+                        refused += 1
+                    else:
+                        assert null_term(f, n, k) == before[queries.index(("term", n, k))]
+            assert refused, "no row needs a level above the lowered cap"
+            monkeypatch.setenv("IDEALIS_MAX_LEVEL", "12")
+            assert [ask(f, q) for q in queries] == before
+            assert NullParam.from_json(f.to_json()) == f
+            assert hash(NullParam.from_json(f.to_json())) == hash(f)
+
+    def test_shared_instance_across_threads(self):
+        (f,) = guarded_params(53, 1)
+        orders = []
+        for seed in range(4):
+            queries = [("term", n, k) for n in range(6) for k in range(n + 1, 17)]
+            queries += [("member", "0110", nl) for nl in range(6)]
+            random.Random(seed).shuffle(queries)
+            orders.append(queries)
+        want = [[ask(NullParam(f.prefix, f.witness), q) for q in order] for order in orders]
+        got = [None] * 4
+        start = threading.Barrier(4, timeout=60)
+
+        def run(i):
+            start.wait()
+            got[i] = [ask(f, q) for q in orders[i]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from idealis.errors import InsufficientPrefix
 from idealis.space import (
     Clopen,
+    _reducible,
     Dyadic,
     Tri,
     canonicalize,
@@ -81,6 +82,36 @@ class TestCanonicalize:
         again = canonicalize(c.level, c.words())
         assert again == c
         assert c.measure() == Dyadic(bin(mask).count("1"), level)
+
+    def test_from_mask_rejects_masks_out_of_range(self):
+        # only odd, out-of-range bits are set: one reduction step would
+        # drop them and read the empty set
+        for level, mask in ((1, 0b1000), (2, 1 << 17), (3, -1)):
+            with pytest.raises(ValueError):
+                Clopen.from_mask(level, mask)
+
+    @given(st.integers(0, 12), st.sampled_from(["random", "lifted", "lifted-flip"]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reducible_matches_string_definition(self, level, kind, data):
+        def by_strings(level, mask):
+            # the definition by string slicing that _reducible replaced
+            if level == 0:
+                return False
+            bits = format(mask, f"0{1 << level}b")[::-1]
+            return bits[0::2] == bits[1::2]
+
+        width = 1 << level
+        if kind == "random" or level == 0:
+            mask = data.draw(st.integers(0, (1 << width) - 1))
+        else:
+            # a level-(L-1) mask lifted to level L: each word's two children
+            coarse = data.draw(st.integers(0, (1 << (width // 2)) - 1))
+            mask = int("".join(ch * 2 for ch in format(coarse, f"0{width // 2}b")), 2)
+            assert _reducible(level, mask)
+            if kind == "lifted-flip":
+                mask ^= 1 << data.draw(st.integers(0, width - 1))
+                assert not _reducible(level, mask)
+        assert _reducible(level, mask) == by_strings(level, mask)
 
 
 class TestAlgebra:
