@@ -70,11 +70,16 @@ def countable_member(y: CountableParam, x: BairePrefix, rows: int, depth: int) -
     def row_refuted(n: int) -> bool:
         return any(y.cell(n, m) != x[m] for m in range(depth))
 
-    if any(row_agrees_fully(n) for n in range(rows)):
+    # rows from `support` on are all the zero row, so one of them stands
+    # for the rest however many rows are asked about
+    support = _support_rows(len(y.prefix))
+    if any(row_agrees_fully(n) for n in range(min(rows, support + 1))):
         return Tri.HOLDS
 
-    considered = max(rows, y.rows, _support_rows(len(y.prefix)))
+    considered = max(rows, y.rows, support)
     zero_row_refuted = any(x[m] != 0 for m in range(depth))
-    if zero_row_refuted and all(row_refuted(n) for n in range(considered)):
+    if zero_row_refuted and all(
+        row_refuted(n) for n in range(min(considered, support + 1))
+    ):
         return Tri.FAILS
     return Tri.UNKNOWN

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import IndexOutOfRange, LevelCapExceeded, MeasureTooLarge
-from .space import Clopen, index_word, max_level, pair, seq_decode
+from .space import Clopen, _require_level, index_word, max_level, pair, seq_decode
 
 CANTOR = "cantor"
 BAIRE = "baire"
@@ -177,9 +177,20 @@ class BaireCylinder:
 
 
 def _cantor_cylinder_word(idx: int) -> str:
-    # cylinders in (level, lex) order: idx 0,1 -> level 1; 2..5 -> level 2 ...
+    # cylinders in (level, lex) order: idx -1 -> the whole space (the empty
+    # word); 0,1 -> level 1; 2..5 -> level 2 ...
     level = (idx + 2).bit_length() - 1
     return index_word(idx - ((1 << level) - 2), level)
+
+
+def basic_word_cantor(n: int) -> str:
+    """The word whose cylinder is basic open set n >= 1 of Cantor space;
+    LevelCapExceeded when the word is longer than the level cap."""
+    if n < 1:
+        raise IndexOutOfRange("only nonempty basic open sets have a word")
+    word = _cantor_cylinder_word(n - 2)
+    _require_level(len(word))
+    return word
 
 
 def basic_open_cantor(n: int) -> Clopen:
@@ -189,12 +200,7 @@ def basic_open_cantor(n: int) -> Clopen:
         raise IndexOutOfRange("basic open index must be a natural")
     if n == 0:
         return Clopen.empty()
-    if n == 1:
-        return Clopen.full()
-    word = _cantor_cylinder_word(n - 2)
-    if len(word) > max_level():
-        raise LevelCapExceeded(len(word), max_level())
-    return Clopen.cylinder(word)
+    return Clopen.cylinder(basic_word_cantor(n))
 
 
 def basic_open_baire(n: int) -> BaireCylinder:

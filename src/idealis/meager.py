@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import InsufficientPrefix, NotDense
 from .space import BairePrefix, BitWord, Clopen, Tri, fsigma_member, matrix_entry, pack_rows
-from .enumerations import basic_open_cantor, kprime
+from .enumerations import basic_open_cantor, basic_word_cantor, kprime
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,17 @@ def dense_open_encode(w: Clopen, n_max: int) -> DenseOpenParam:
     """Parameter whose stage union sits inside the dense clopen `w`.
 
     For each basic open set the least basic subset lying inside `w` is
-    selected; NotDense reports the first basic set `w` misses.
+    selected; NotDense reports the first basic set `w` misses.  Both tests
+    read one bit or one block of `w`'s mask at the basic set's word, so no
+    cylinder is built or lifted.
     """
     for n in range(1, n_max + 1):
-        if not basic_open_cantor(n).meets(w):
+        if not w.meets_cylinder(basic_word_cantor(n)):
             raise NotDense(n)
     choices = [0]
     for n in range(1, n_max + 1):
         m = 0
-        while not basic_open_cantor(kprime(n, m)).subset(w):
+        while not w.covers_cylinder(basic_word_cantor(kprime(n, m))):
             m += 1
         choices.append(m)
     return DenseOpenParam(tuple(choices))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InsufficientPrefix, InvariantViolated, LevelCapExceeded
-from .space import BitWord, Clopen, Dyadic, Tri, matrix_entry, max_level, pack_rows
+from .space import BitWord, Clopen, Dyadic, Tri, check_word, matrix_entry, max_level, pack_rows
 from .enumerations import clopen_enum, clopen_rank
 
 # Empty slots placed before each cover row during flattening.  Four is
@@ -171,25 +171,35 @@ def null_member(f: NullParam, z: BitWord, n_levels: int) -> Tri:
     cylinder at its witnessed bound -- a claim about the whole stored
     parameter, so it cannot be revoked at a deeper stage.  FAILS when
     some row up to `n_levels` misses the cylinder entirely and the guard
-    budget left cannot pay for covering it, so no continuation of that
-    row's scan ever could.  Raising `n_levels` only resolves UNKNOWN.
+    budget left, 2^-n minus the accepted total, is at most the cylinder's
+    measure 2^-len(z), so no continuation of that row's scan could ever
+    cover it.  Raising `n_levels` only resolves UNKNOWN.
+
+    `z` is validated after the witness list and before any scan.  Each
+    cylinder test reads one bit or one block of a stage union's mask and
+    the budget test compares integers, so the length of `z` is not
+    capped.
     """
     if len(f.witness) <= n_levels:
         raise InsufficientPrefix(n_levels + 1, what="witness list")
-    cyl = Clopen.cylinder(z)
-    cyl_measure = cyl.measure()
+    check_word(z, len(z))
     cap = max_level()
     scans = []
     for n, k_hi in enumerate(f.witness):
         if k_hi <= n:
             raise InsufficientPrefix(n + 1, what=f"witness bound for row {n}")
         scans.append(_stage(f, n, k_hi, cap))
-    if all(cyl.subset(stage) for stage, _ in scans):
+    if all(stage.covers_cylinder(z) for stage, _ in scans):
         return Tri.HOLDS
     for n in range(n_levels + 1):
         stage, total = scans[n]
-        remaining = Dyadic.half_power(n) - total
-        if not cyl.meets(stage) and remaining <= cyl_measure:
+        if stage.meets_cylinder(z):
+            continue
+        # (2^-n - total) * 2^e <= 2^-len(z) * 2^e, with the right side
+        # rounded down: the left is a natural, so rounding changes nothing
+        e = max(n, total.exp)
+        remaining = (1 << (e - n)) - (total.num << (e - total.exp))
+        if remaining <= (1 << e) >> len(z):
             return Tri.FAILS
     return Tri.UNKNOWN
 

@@ -145,6 +145,12 @@ def index_word(index: int, level: int) -> BitWord:
     return format(index, f"0{level}b") if level else ""
 
 
+def check_word(word: BitWord, level: int) -> None:
+    """Raise ValueError unless `word` is a 0/1 word of length `level`."""
+    if len(word) != level or (word and set(word) - {"0", "1"}):
+        raise ValueError(f"bad word {word!r} for level {level}")
+
+
 def _reducible(level: int, mask: int) -> bool:
     # A union of level-`level` cylinders drops to level-1 exactly when the
     # two children of every shorter word are jointly in or jointly out;
@@ -204,8 +210,7 @@ class Clopen:
     def from_words(level: int, words: Iterable[BitWord]) -> "Clopen":
         mask = 0
         for w in words:
-            if len(w) != level or (w and set(w) - {"0", "1"}):
-                raise ValueError(f"bad word {w!r} for level {level}")
+            check_word(w, level)
             mask |= 1 << word_index(w)
         return Clopen.from_mask(level, mask)
 
@@ -264,6 +269,31 @@ class Clopen:
     def meets(self, other: "Clopen") -> bool:
         lev = max(self.level, other.level)
         return self.mask_at(lev) & other.mask_at(lev) != 0
+
+    # -- cylinder queries -------------------------------------------------
+    #
+    # The cylinder of a 0/1 word z is read straight off the mask: at or
+    # past this set's level it is one bit, int(z[:level], 2); above it, the
+    # block of 2^(level - len(z)) bits at offset int(z, 2) << (level -
+    # len(z)).  The cost is bounded by this set's level whatever len(z) is,
+    # and no Clopen is built for z.  The word is not validated here; see
+    # `check_word`.
+
+    def _cylinder_block(self, z: BitWord) -> tuple[int, int]:
+        drop = self.level - len(z)
+        if drop <= 0:
+            return word_index(z[: self.level]), 1
+        return word_index(z) << drop, (1 << (1 << drop)) - 1
+
+    def meets_cylinder(self, z: BitWord) -> bool:
+        """Does the cylinder of `z` meet this set?"""
+        at, ones = self._cylinder_block(z)
+        return self.mask >> at & ones != 0
+
+    def covers_cylinder(self, z: BitWord) -> bool:
+        """Does the cylinder of `z` lie inside this set?"""
+        at, ones = self._cylinder_block(z)
+        return self.mask >> at & ones == ones
 
     # -- serialization ----------------------------------------------------
 
@@ -355,13 +385,15 @@ def fsigma_member(
 
     HOLDS when the cylinder misses some row's union at `horizon`, FAILS
     when it lies inside every row's union at `n_max`, UNKNOWN otherwise.
-    Each row's horizon union is built before its stage union.
+    `z` is validated before any union is built, and each row's horizon
+    union is built before its stage union.  Each test reads one bit or one
+    block of a union's mask, so the length of `z` is not capped.
     """
-    cyl = Clopen.cylinder(z)
+    check_word(z, len(z))
     inside_all = True
     for r in range(rows):
-        if not cyl.meets(stage_union(r, horizon)):
+        if not stage_union(r, horizon).meets_cylinder(z):
             return Tri.HOLDS
-        if not cyl.subset(stage_union(r, n_max)):
+        if not stage_union(r, n_max).covers_cylinder(z):
             inside_all = False
     return Tri.FAILS if inside_all else Tri.UNKNOWN

@@ -1,11 +1,16 @@
 import io
 import json
 import pathlib
+import time
 from contextlib import redirect_stdout
 
 import pytest
 
 from idealis.cli import build_parser, main
+from idealis.closed_null import EParam, e_fsigma_member, e_open_encode
+from idealis.meager import dense_open_encode, meager_encode, meager_eval
+from idealis.nullset import CoverFamily, null_encode, null_member
+from idealis.space import Clopen, Tri, fsigma_member, max_level
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_CASES = sorted(p for p in GOLDEN_DIR.glob("*.json"))
@@ -130,3 +135,66 @@ def test_error_taxonomy_names_are_unique():
     names = [cls.name for cls in subclasses]
     assert len(names) == len(set(names))
     assert "IdealisError" not in names
+
+
+LONG_WORDS = ["0" * 64, "1101001110010111" * 4]
+
+
+@pytest.mark.parametrize("word", LONG_WORDS)
+@pytest.mark.parametrize("case", ["null_eval", "meager_eval", "e_eval", "fubini_eval"])
+def test_long_query_word_answers_in_milliseconds(case, word):
+    # queries read one bit or one block of each stage union, so a 64-bit
+    # word costs what a short one does
+    argv = json.loads((GOLDEN_DIR / f"{case}.json").read_text())["argv"]
+    for flag in ("--y", "--z"):
+        if flag in argv:
+            argv[argv.index(flag) + 1] = word
+    start = time.perf_counter()
+    code, out = run_cli(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.count("\n") == 1
+    assert json.loads(out)["result"] in {t.value for t in Tri}
+
+
+def test_queries_build_no_cylinder_past_the_cap(monkeypatch):
+    cap = max_level()
+    cylinder, mask_at = Clopen.cylinder, Clopen.mask_at
+
+    def capped_cylinder(word):
+        if len(word) > cap:
+            raise AssertionError(f"cylinder built at level {len(word)}")
+        return cylinder(word)
+
+    def capped_mask_at(self, level):
+        if level > cap:
+            raise AssertionError(f"mask lifted to level {level}")
+        return mask_at(self, level)
+
+    monkeypatch.setattr(Clopen, "cylinder", staticmethod(capped_cylinder))
+    monkeypatch.setattr(Clopen, "mask_at", capped_mask_at)
+    inside, outside = "0" * 40, "01" * 20
+
+    f = null_encode(CoverFamily(tuple((Clopen.cylinder("0" * (n + 2)),) for n in range(4))))
+    assert null_member(f, inside, 3) is Tri.HOLDS
+    # a 2^-40 cylinder fits in any budget left, so a miss stays open
+    assert null_member(f, outside, 3) is Tri.UNKNOWN
+
+    w = Clopen.cylinder("00000").complement()
+    assert dense_open_encode(w, 6).prefix == (0, 2, 2, 0, 2, 0, 0)
+    p = meager_encode([w], 6)
+    assert meager_eval(p, inside, 1, 6) is Tri.HOLDS
+    assert meager_eval(p, outside, 1, 6) is Tri.FAILS
+
+    e = EParam.from_triples([e_open_encode(w, 3)], 3)
+    assert e_fsigma_member(e, inside, 1, 3) is Tri.HOLDS
+
+    unions = [Clopen.from_words(3, ["000", "001", "110"]), Clopen.from_words(1, ["0"])]
+
+    def stage(r, n):
+        # the unions at the horizon 1, nothing yet at stage 0
+        return unions[r] if n else Clopen.empty()
+
+    assert fsigma_member("00" + "1" * 38, 2, 1, 1, stage) is Tri.FAILS
+    assert fsigma_member("00" + "1" * 38, 2, 0, 1, stage) is Tri.UNKNOWN
+    assert fsigma_member("11" + "0" * 38, 2, 1, 1, stage) is Tri.HOLDS

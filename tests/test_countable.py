@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from idealis.countable import CountableParam, countable_encode, countable_member
+from idealis.countable import CountableParam, _support_rows, countable_encode, countable_member
 from idealis.errors import InsufficientPrefix
 from idealis.space import Tri, matrix_entry
 
@@ -87,3 +88,15 @@ class TestMember:
                     seen.append(countable_member(y, x, rows=rows, depth=d))
             decided = [t for t in seen if t is not Tri.UNKNOWN]
             assert len({*decided}) <= 1, seen
+
+    def test_huge_row_count_answers_like_one_zero_row(self):
+        # every row from the support on is the zero row, so asking about
+        # 10^8 rows must answer at once and as one zero row past it would
+        y = countable_encode([(1, 2, 3), (2, 0, 1), (0, 0, 4)], depth=3)
+        support = _support_rows(len(y.prefix))
+        for x in [(1, 2, 3), (0, 0, 0), (0, 0, 4), (5, 5, 5), (2, 0, 9), (0, 1, 0)]:
+            for depth in range(4):
+                start = time.perf_counter()
+                got = countable_member(y, x, rows=10**8, depth=depth)
+                assert time.perf_counter() - start < 0.5
+                assert got is countable_member(y, x, rows=support + 1, depth=depth)

@@ -157,6 +157,47 @@ class TestAlgebra:
         assert c.to_json() == {"level": 3, "words": ["010", "110"]}
 
 
+def _clopens(data):
+    """Canonical sets at levels 0..12: random, sparse, co-sparse, empty, full."""
+    kind = data.draw(st.sampled_from(["random", "sparse", "co-sparse", "empty", "full"]))
+    if kind == "empty":
+        return Clopen.empty()
+    if kind == "full":
+        return Clopen.full()
+    level = data.draw(st.integers(0, 12))
+    top = (1 << (1 << level)) - 1
+    if kind == "random":
+        return Clopen.from_mask(level, data.draw(st.integers(0, top)))
+    idx = st.integers(0, (1 << level) - 1)
+    mask = 0
+    for i in data.draw(st.lists(idx, min_size=1, max_size=4)):
+        mask |= 1 << i
+    return Clopen.from_mask(level, mask if kind == "sparse" else top ^ mask)
+
+
+class TestCylinderQueries:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_agree_with_the_built_cylinder(self, data):
+        s = _clopens(data)
+        length = data.draw(st.integers(0, s.level + 4))
+        z = data.draw(st.text(alphabet="01", min_size=length, max_size=length))
+        cyl = Clopen.cylinder(z)  # oracle: lift both to a common level
+        assert s.meets_cylinder(z) == cyl.meets(s)
+        assert s.covers_cylinder(z) == cyl.subset(s)
+
+    def test_empty_word_is_the_whole_space(self):
+        s = Clopen.from_words(2, ["01"])
+        assert s.meets_cylinder("") and not s.covers_cylinder("")
+        assert Clopen.full().covers_cylinder("")
+        assert not Clopen.empty().meets_cylinder("")
+
+    def test_long_word_reads_one_bit(self):
+        s = Clopen.from_words(3, ["010", "110"])
+        assert s.covers_cylinder("010" + "1" * 10_000)
+        assert not s.meets_cylinder("011" + "0" * 10_000)
+
+
 class TestPairing:
     def test_base_case(self):
         assert pair(0, 0) == 0
