@@ -2,7 +2,10 @@
 
 Each suite re-states the invariants its module promises and counts
 violations over seeded inputs; brute-force oracles are recomputed here
-rather than imported from the code paths they check.
+rather than imported from the code paths they check.  Every suite takes
+its sizes as keyword arguments: the defaults are what ``idealis check``
+runs, and the acceptance criteria run the same suites at larger sizes.
+The unit tests import their oracles and generators from here too.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import UnknownSuite
+from .errors import InsufficientPrefix, UnknownSuite
 from .space import Clopen, Dyadic, Tri, pair, seq_code, seq_decode, unpair
 from .enumerations import (
     basic_open,
@@ -183,7 +186,9 @@ def suite_space_algebra(seed):
     return props
 
 
-def _brute_master(n, level_cap):
+def brute_master_order(n, level_cap):
+    """Every canonical clopen set of measure < 2^-n and level at most
+    level_cap, in enumeration order, by scanning all masks per level."""
     out = []
     for level in range(1, level_cap + 1):
         nbits = 1 << level
@@ -193,21 +198,27 @@ def _brute_master(n, level_cap):
                 continue
             bits = format(mask, f"0{nbits}b")[::-1]
             if bits[0::2] == bits[1::2]:
-                continue
+                continue  # representable one level down
             out.append(Clopen(level, mask))
     return out
 
 
-def suite_enum_bijection(seed, level_cap=3, n_cap=2):
-    rng = random.Random(seed)
+def suite_enum_bijection(seed, level_cap=3, n_cap=2, comb_cap=10, rank_enumerated=False):
+    """The enumeration draws nothing at random, so `seed` is unused.
+    `rank_enumerated` also ranks every enumerated set and checks that
+    they are distinct."""
     props = []
 
     bad = cases = 0
     for n in range(n_cap + 1):
-        oracle = _brute_master(n, level_cap)
+        oracle = brute_master_order(n, level_cap)
         got = [clopen_enum(n, k) for k in range(1, len(oracle) + 1)]
         cases += len(oracle)
         bad += sum(1 for g, o in zip(got, oracle) if g != o)
+        if rank_enumerated:
+            cases += len(got) + 1
+            bad += sum(1 for k, c in enumerate(got, start=1) if clopen_rank(n, c) != k)
+            bad += len(set(got)) != len(got)
     props.append(_prop("master-order-completeness", cases, bad))
 
     bad = cases = 0
@@ -241,7 +252,7 @@ def suite_enum_bijection(seed, level_cap=3, n_cap=2):
     props.append(_prop("kprime-increasing-nonempty-subsets", cases, bad))
 
     bad = cases = 0
-    for n in range(11):
+    for n in range(comb_cap + 1):
         for t in range(n + 1):
             oracle = list(itertools.combinations(range(n), t))
             for r, expect in enumerate(oracle):
@@ -252,17 +263,21 @@ def suite_enum_bijection(seed, level_cap=3, n_cap=2):
     return props
 
 
-def suite_meager_density(seed, prefixes=40, encoders=12):
+def suite_meager_density(seed, prefixes=40, encoders=12, entry_bound=40, every_stage=False):
+    """`every_stage` checks each prefix's section at every horizon up to
+    10, not only at 10."""
     rng = random.Random(seed)
     props = []
 
-    bad = 0
+    bad = cases = 0
     for _ in range(prefixes):
-        x = DenseOpenParam(tuple(rng.randrange(40) for _ in range(11)))
-        stage = dense_section_stage(x, 10)
-        if any(not stage.meets(basic_open_cantor(n)) for n in range(1, 11)):
-            bad += 1
-    props.append(_prop("sections-dense-at-stage-unconditionally", prefixes, bad))
+        x = DenseOpenParam(tuple(rng.randrange(entry_bound) for _ in range(11)))
+        for horizon in range(1 if every_stage else 10, 11):
+            stage = dense_section_stage(x, horizon)
+            cases += 1
+            if any(not stage.meets(basic_open_cantor(n)) for n in range(1, horizon + 1)):
+                bad += 1
+    props.append(_prop("sections-dense-at-stage-unconditionally", cases, bad))
 
     bad = 0
     for _ in range(encoders):
@@ -286,7 +301,9 @@ def suite_meager_density(seed, prefixes=40, encoders=12):
     return props
 
 
-def _brute_fxp(x, partition, z, from_block):
+def brute_fxp(x, partition, z, from_block):
+    """Literal per-block comparison over the complete blocks from
+    `from_block` on; None when the window holds no such block."""
     avail = min(len(x), len(z))
     answers = []
     for i, (a, b) in enumerate(partition.intervals):
@@ -298,14 +315,30 @@ def _brute_fxp(x, partition, z, from_block):
     return Tri.HOLDS if all(answers) else Tri.FAILS
 
 
-def suite_fxp_oracle(seed, exhaustive_len=4, class_len=8):
+def _fxp_agrees(x, partition, z, from_block):
+    # with no complete block in the window the evaluator must refuse
+    expect = brute_fxp(x, partition, z, from_block)
+    try:
+        return fxp_eval(x, partition, z, from_block) is expect
+    except InsufficientPrefix:
+        return expect is None
+
+
+def suite_fxp_oracle(seed, widths=3, blocks=2, exhaustive_len=4, class_lens=()):
+    """Partitions have 1 to `blocks` blocks, each of width 1 to `widths`.
+
+    Pairs are swept exhaustively where a partition covers at most
+    `exhaustive_len` bits.  At each length in `class_lens`, every
+    difference pattern is checked on every sixth partition whose first
+    block fits, from its first and its last block.
+    """
     rng = random.Random(seed)
     props = []
 
     partitions = [
         partition_from(y)
-        for length in range(1, 3)
-        for y in itertools.product(range(3), repeat=length)
+        for length in range(1, blocks + 1)
+        for y in itertools.product(range(widths), repeat=length)
     ]
     bad = cases = 0
     for p in partitions:
@@ -317,9 +350,8 @@ def suite_fxp_oracle(seed, exhaustive_len=4, class_len=8):
             for zv in range(1 << cov):
                 z = format(zv, f"0{cov}b")
                 for fb in range(len(p.intervals)):
-                    expect = _brute_fxp(x, p, z, fb)
                     cases += 1
-                    if fxp_eval(x, p, z, fb) is not expect:
+                    if not _fxp_agrees(x, p, z, fb):
                         bad += 1
     props.append(_prop("oracle-equivalence-exhaustive", cases, bad))
 
@@ -327,36 +359,40 @@ def suite_fxp_oracle(seed, exhaustive_len=4, class_len=8):
     # pattern, so covering every pattern with seeded representatives is
     # exhaustive over behaviours
     bad = cases = 0
-    for p in partitions:
-        if p.covered != class_len:
-            continue
-        for dv in range(1 << class_len):
-            xv = rng.randrange(1 << class_len)
-            x = format(xv, f"0{class_len}b")
-            z = format(xv ^ dv, f"0{class_len}b")
-            for fb in range(len(p.intervals)):
-                expect = _brute_fxp(x, p, z, fb)
-                cases += 1
-                if fxp_eval(x, p, z, fb) is not expect:
-                    bad += 1
+    for length in class_lens:
+        usable = [p for p in partitions if p.intervals[0][1] <= length][::6]
+        for dv in range(1 << length):
+            xv = rng.randrange(1 << length)
+            x = format(xv, f"0{length}b")
+            z = format(xv ^ dv, f"0{length}b")
+            for p in usable:
+                for fb in (0, len(p.intervals) - 1):
+                    cases += 1
+                    if not _fxp_agrees(x, p, z, fb):
+                        bad += 1
     props.append(_prop("oracle-equivalence-difference-classes", cases, bad))
     return props
 
 
-def suite_null_guard(seed, params=40, rows=9, k_hi=32):
+def suite_null_guard(seed, params=40, rows=9, k_hi=32, inner_bounds=()):
+    """Each row's stage is checked at `k_hi` and at each of `inner_bounds`;
+    a bound below the row's first term n + 1 reads as n + 1."""
     rng = random.Random(seed)
     bad = cases = 0
     for _ in range(params):
         f = random_null_param(rng, rows, k_hi)
         for n in range(rows):
-            stage = null_stage(f, n, k_hi)
-            cases += 1
-            if not stage.measure() < Dyadic.half_power(n):
-                bad += 1
+            for k in (k_hi, *inner_bounds):
+                stage = null_stage(f, n, max(k, n + 1))
+                cases += 1
+                if not stage.measure() < Dyadic.half_power(n):
+                    bad += 1
     return [_prop("stage-measure-strictly-below-budget", cases, bad)]
 
 
-def suite_null_encoder(seed, families=8, depth_cap=5):
+def suite_null_encoder(seed, families=8, depth_cap=5, every_stage=False):
+    """`every_stage` checks the covered point at every stage, not only at
+    the family's last."""
     rng = random.Random(seed)
     props = []
     tail_bad = block_bad = guard_bad = cover_bad = 0
@@ -376,7 +412,10 @@ def suite_null_encoder(seed, families=8, depth_cap=5):
             tail_cases += 1
             if not tail < Fraction(1, 2 ** (n + 1)):
                 tail_bad += 1
-        for m, block in enumerate(enc.blocks):
+        for m in range(depth):
+            block = Clopen.empty()
+            for piece in enc.flat[enc.cuts[m] : enc.cuts[m + 1]]:
+                block = block.union(piece)
             block_cases += 1
             if not block.measure().as_fraction() < Fraction(1, 2**m):
                 block_bad += 1
@@ -387,9 +426,10 @@ def suite_null_encoder(seed, families=8, depth_cap=5):
             guard_cases += 1
             if raw != guarded:
                 guard_bad += 1
-        cover_cases += 1
-        if null_member(f, "0" * 10, depth - 1) is not Tri.HOLDS:
-            cover_bad += 1
+        for n in range(0 if every_stage else depth - 1, depth):
+            cover_cases += 1
+            if null_member(f, "0" * 10, n) is not Tri.HOLDS:
+                cover_bad += 1
     props.append(_prop("tail-sum-bound", tail_cases, tail_bad))
     props.append(_prop("block-measure-bound", block_cases, block_bad))
     props.append(_prop("guard-identity-on-encoder-output", guard_cases, guard_bad))
@@ -397,29 +437,42 @@ def suite_null_encoder(seed, families=8, depth_cap=5):
     return props
 
 
-def suite_e_fullness(seed, params=30, n_max=6, encoders=10):
+def _term_cardinality_holds(p, n, term):
+    m = p.x0[n] + n
+    lvl = max(p.x1[n], m)
+    expect = (1 << lvl) - (1 << (lvl - m)) if m else 0
+    return term.mask_at(lvl).bit_count() == expect
+
+
+def suite_e_fullness(seed, params=30, n_max=6, encoders=10, x1_bound=12, every_stage=False):
+    """`every_stage` checks the stage union at every stage and the term
+    law at every position of the same parameters, and zeroes x1 on every
+    other one so that the lifted-level branch is reached."""
     rng = random.Random(seed)
     props = []
 
-    bad = 0
-    for _ in range(params):
-        p = random_triple(rng, n_max + 1)
-        stage = e_open_stage(p, n_max)
-        if not stage.measure() >= Dyadic.one() - Dyadic.half_power(n_max):
-            bad += 1
-    props.append(_prop("stage-fullness-unconditional", params, bad))
+    full_bad = full_cases = term_bad = term_cases = 0
+    for i in range(params):
+        p = random_triple(rng, n_max + 1, x1_bound=x1_bound)
+        if every_stage and i % 2:
+            p = ETripleParam(p.x0, (0,) * p.positions, p.x2)
+        for n in range(0 if every_stage else n_max, n_max + 1):
+            full_cases += 1
+            if not e_open_stage(p, n).measure() >= Dyadic.one() - Dyadic.half_power(n):
+                full_bad += 1
+            if every_stage:
+                term_cases += 1
+                if not _term_cardinality_holds(p, n, e_term(p, n)):
+                    term_bad += 1
+    props.append(_prop("stage-fullness-unconditional", full_cases, full_bad))
 
-    bad = cases = 0
     for _ in range(params):
         n = rng.randrange(n_max + 1)
-        p = random_triple(rng, n + 1)
-        m = p.x0[n] + n
-        lvl = max(p.x1[n], m)
-        expect = (1 << lvl) - (1 << (lvl - m)) if m else 0
-        cases += 1
-        if e_term(p, n).mask_at(lvl).bit_count() != expect:
-            bad += 1
-    props.append(_prop("term-cardinality-law", cases, bad))
+        p = random_triple(rng, n + 1, x1_bound=x1_bound)
+        term_cases += 1
+        if not _term_cardinality_holds(p, n, e_term(p, n)):
+            term_bad += 1
+    props.append(_prop("term-cardinality-law", term_cases, term_bad))
 
     bad = 0
     for _ in range(encoders):
@@ -432,7 +485,24 @@ def suite_e_fullness(seed, params=30, n_max=6, encoders=10):
     return props
 
 
-def suite_domination(seed, bounds=30, maps=5):
+def brute_witnesses(phi, f, n0, n1):
+    """Literal count of the positions n in [n0, n1) with f(n) below the
+    label phi gives f's first n entries (0 where phi is silent)."""
+    return sum(1 for n in range(n0, n1) if f[n] < phi.get(tuple(f[:n]), 0))
+
+
+def suite_domination(
+    seed,
+    bounds=30,
+    maps=5,
+    alphabet=3,
+    length=5,
+    labelled=25,
+    windows=((0, 5), (1, 3), (2, 5)),
+):
+    """Each of `maps` labellings gives values below `alphabet` to
+    `labelled` sequences shorter than `length`; every f in
+    alphabet^length is counted over every window."""
     rng = random.Random(seed)
     props = []
 
@@ -453,31 +523,27 @@ def suite_domination(seed, bounds=30, maps=5):
     props.append(_prop("bound-dominates-inputs", bounds, bad))
 
     universe = [()]
-    for length in range(1, 5):
-        universe += list(itertools.product(range(3), repeat=length))
+    for size in range(1, length):
+        universe += list(itertools.product(range(alphabet), repeat=size))
+    points = list(itertools.product(range(alphabet), repeat=length))
     bad = cases = 0
     for _ in range(maps):
-        phi = {s: rng.randrange(3) for s in rng.sample(universe, 25)}
+        phi = {s: rng.randrange(alphabet) for s in rng.sample(universe, labelled)}
         p = laver_encode(phi)
-        for f in itertools.product(range(3), repeat=5):
-            for n0, n1 in ((0, 5), (1, 3), (2, 5)):
-                expect = sum(
-                    1 for n in range(n0, n1) if f[n] < phi.get(tuple(f[:n]), 0)
-                )
+        for f in points:
+            for n0, n1 in windows:
                 cases += 1
-                if laver_witnesses(p, f, n0, n1) != expect:
+                if laver_witnesses(p, f, n0, n1) != brute_witnesses(phi, f, n0, n1):
                     bad += 1
     props.append(_prop("witness-count-oracle", cases, bad))
 
-    bad = 0
-    for f in itertools.product(range(3), repeat=5):
-        if laver_witnesses(laver_encode({}), f, 0, 5) != 0:
-            bad += 1
-    props.append(_prop("zero-labelling-never-witnesses", 3**5, bad))
+    zero = laver_encode({})
+    bad = sum(1 for f in points if laver_witnesses(zero, f, 0, length) != 0)
+    props.append(_prop("zero-labelling-never-witnesses", len(points), bad))
     return props
 
 
-def suite_tri_monotone(seed, per_module=30):
+def suite_tri_monotone(seed, per_module=30, null_rows=6, null_k_hi=16, null_z_bits=4):
     rng = random.Random(seed)
     props = []
 
@@ -510,9 +576,9 @@ def suite_tri_monotone(seed, per_module=30):
 
     bad = 0
     for _ in range(per_module):
-        f = random_null_param(rng, 6, 16)
-        z = format(rng.randrange(16), "04b")
-        answers = [null_member(f, z, n) for n in range(6)]
+        f = random_null_param(rng, null_rows, null_k_hi)
+        z = format(rng.randrange(1 << null_z_bits), f"0{null_z_bits}b")
+        answers = [null_member(f, z, n) for n in range(null_rows)]
         if not _decided_consistent(answers):
             bad += 1
     props.append(_prop("null-stage-sweep", per_module, bad))

@@ -14,14 +14,23 @@ evaluator the meager sections use too.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 from math import comb
 
 from .errors import InsufficientPrefix, InsufficientResolution
-from .space import BitWord, Clopen, Tri, _require_level, fsigma_member, matrix_entry, pack_rows
+from .space import (
+    BitWord,
+    Clopen,
+    Tri,
+    _require_level,
+    fsigma_member,
+    matrix_entry,
+    max_level,
+    pack_rows,
+    pair,
+)
 from .enumerations import kcomb_rank, kcomb_unrank
 
 
@@ -67,13 +76,14 @@ def e_term(p: ETripleParam, n: int) -> Clopen:
         raise InsufficientPrefix(n + 1)
     m = p.x0[n] + n
     lvl = max(p.x1[n], m)
-    _require_level(lvl)
+    cap = max_level()
+    _require_level(lvl, cap)
     size = (1 << lvl) - (1 << (lvl - m)) if m else 0
     if size == 0:
         return Clopen.empty()
     index = p.x2[n] % comb(1 << lvl, size)
     mask = 0
-    for w in kcomb_unrank(1 << lvl, size, index):
+    for w in kcomb_unrank(1 << lvl, size, index, cap):
         mask |= 1 << w
     return Clopen.from_mask(lvl, mask)
 
@@ -109,8 +119,10 @@ def e_open_encode(v: Clopen, m_max: int) -> ETripleParam:
     Position n needs v to contain at least 2^l - 2^(l-n) cylinders at
     some level l up to v's own; the least such level is recorded and the
     lexicographically least family of qualifying cylinders is chosen at
-    the lifted level.
+    the lifted level.  A lifted level past the cap raises
+    LevelCapExceeded, as ``e_term`` would on reading that position.
     """
+    cap = max_level()
     x0, x1, x2 = [], [], []
     for n in range(m_max + 1):
         chosen = None
@@ -129,31 +141,14 @@ def e_open_encode(v: Clopen, m_max: int) -> ETripleParam:
         if chosen is None:
             raise InsufficientResolution(n)
         lifted = max(chosen, n)
+        _require_level(lifted, cap)
         size = (1 << lifted) - (1 << (lifted - n)) if n else 0
         inside = _cylinders_inside(v, lifted)
         subset = tuple(inside[:size])
         x0.append(0)
         x1.append(chosen)
-        x2.append(kcomb_rank(1 << lifted, subset))
+        x2.append(kcomb_rank(1 << lifted, subset, cap))
     return ETripleParam(tuple(x0), tuple(x1), tuple(x2))
-
-
-class _MatrixRow:
-    """Row r of a matrix-coded prefix, readable as a prefix of its own.
-
-    It claims every position, so ``matrix_entry`` on the row never stops
-    early; a missing cell raises InsufficientPrefix from the read of the
-    whole prefix, naming the length the whole prefix needs.
-    """
-
-    def __init__(self, prefix: Sequence[int], r: int):
-        self.prefix, self.r = prefix, r
-
-    def __len__(self) -> int:
-        return sys.maxsize
-
-    def __getitem__(self, c: int) -> int:
-        return matrix_entry(self.prefix, self.r, c)
 
 
 @dataclass(frozen=True)
@@ -165,8 +160,15 @@ class EParam:
     horizon: int
 
     def row(self, r: int) -> ETripleParam:
-        """Row r, read as the packed triple it stores."""
-        return ETripleParam.from_packed(_MatrixRow(self.prefix, r), self.horizon + 1)
+        """Row r, read as the packed triple it stores: coordinate i at
+        position n is cell (r, pair(i, n)), so a missing cell names the
+        length the whole prefix needs."""
+        return ETripleParam(
+            *(
+                tuple(matrix_entry(self.prefix, r, pair(i, n)) for n in range(self.horizon + 1))
+                for i in range(3)
+            )
+        )
 
     @staticmethod
     def from_triples(triples: Sequence[ETripleParam], horizon: int) -> "EParam":

@@ -24,6 +24,9 @@ from .space import Clopen, _require_level, index_word, max_level, pair, seq_deco
 CANTOR = "cantor"
 BAIRE = "baire"
 
+# Baire kprime pops m codes off a heap, so m is capped
+BAIRE_KPRIME_BUDGET = 1 << 16
+
 
 @lru_cache(maxsize=1 << 16)
 def _tsum(b: int, q: int) -> int:
@@ -266,6 +269,10 @@ def kprime(n: int, m: int, space: str = CANTOR) -> int:
     if space == CANTOR:
         return _kprime_cantor(n, m)
     if space == BAIRE:
+        if m >= BAIRE_KPRIME_BUDGET:
+            raise IndexOutOfRange(
+                f"baire kprime index {m} is past the budget {BAIRE_KPRIME_BUDGET}"
+            )
         return _kprime_baire(n, m)
     raise IndexOutOfRange(f"unknown space {space!r}")
 
@@ -280,11 +287,18 @@ def lex_word(n: int, k: int) -> str:
 # -- combinadics ------------------------------------------------------------
 
 
-def kcomb_unrank(n: int, t: int, r: int) -> tuple[int, ...]:
+def _require_ground_set(n: int, cap: int | None) -> None:
+    # E terms choose subsets of the 2^level cylinders of a capped level
+    _require_level(max(n - 1, 0).bit_length(), cap)
+
+
+def kcomb_unrank(n: int, t: int, r: int, cap: int | None = None) -> tuple[int, ...]:
     """The r-th t-subset of {0..n-1}, ordering sorted tuples
-    lexicographically.  Exact for big-integer ranks."""
+    lexicographically.  Exact for big-integer ranks.  An n past 2^cap
+    (default: the current ``max_level()``) raises LevelCapExceeded."""
     if t < 0 or t > n:
         raise IndexOutOfRange(f"no {t}-subsets of a {n}-set")
+    _require_ground_set(n, cap)
     total = comb(n, t)
     if not 0 <= r < total:
         raise IndexOutOfRange(f"rank {r} out of range {total}")
@@ -312,12 +326,13 @@ def kcomb_unrank(n: int, t: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def kcomb_rank(n: int, subset) -> int:
-    """Inverse of kcomb_unrank."""
+def kcomb_rank(n: int, subset, cap: int | None = None) -> int:
+    """Inverse of kcomb_unrank, under the same cap."""
     s = sorted(subset)
     t = len(s)
     if t > n or any(not 0 <= v < n for v in s) or len(set(s)) != t:
         raise IndexOutOfRange("not a subset of {0..n-1}")
+    _require_ground_set(n, cap)
     if t == 0:
         return 0
     r = 0

@@ -211,7 +211,6 @@ class NullEncoding:
     param: NullParam
     flat: tuple          # the flattened cover pieces, pads included
     cuts: tuple          # cut points a_0 .. a_(depth)
-    blocks: tuple        # unions of consecutive pieces between cut points
 
 
 def _flatten(family: CoverFamily):
@@ -245,18 +244,10 @@ def null_encode_detail(family: CoverFamily) -> NullEncoding:
     """Full encoding: flatten, cut, rank every kept piece, pack the matrix."""
     depth = family.depth
     if depth == 0:
-        return NullEncoding(NullParam((), ()), (), (0,), ())
+        return NullEncoding(NullParam((), ()), (), (0,))
 
     flat, _ = _flatten(family)
     cuts = _cut_points(flat, depth)
-
-    blocks = []
-    for m in range(depth):
-        hi = cuts[m + 1] if m + 1 < len(cuts) else len(flat)
-        block = Clopen.empty()
-        for j in range(cuts[m], min(hi, len(flat))):
-            block = block.union(flat[j])
-        blocks.append(block)
 
     last_nonempty = max(
         (i for i, c in enumerate(flat) if not c.is_empty), default=-1
@@ -270,7 +261,7 @@ def null_encode_detail(family: CoverFamily) -> NullEncoding:
             if not flat[k].is_empty:
                 row[k] = clopen_rank(n, flat[k])
     param = NullParam(pack_rows(rows), witness)
-    return NullEncoding(param, tuple(flat), tuple(cuts), tuple(blocks))
+    return NullEncoding(param, tuple(flat), tuple(cuts))
 
 
 def null_encode(family: CoverFamily) -> NullParam:

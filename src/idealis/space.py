@@ -36,8 +36,10 @@ def max_level() -> int:
     return int(os.environ.get("IDEALIS_MAX_LEVEL", str(DEFAULT_MAX_LEVEL)))
 
 
-def _require_level(level: int) -> None:
-    cap = max_level()
+def _require_level(level: int, cap: int | None = None) -> None:
+    """Raise LevelCapExceeded past `cap` (default: the current max_level())."""
+    if cap is None:
+        cap = max_level()
     if level > cap:
         raise LevelCapExceeded(level, cap)
 

@@ -1,65 +1,33 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
-line.  Every tolerance here is exact arithmetic; counts and bounds are
-pinned in the test bodies.  Run with ``pytest tests/test_acceptance.py -v -s``.
+line.  Criteria 01-10 run the ``idealis check`` property suites of
+``idealis.checks`` at larger sizes, each with its own seed; every
+tolerance there is exact arithmetic.  Each criterion's case count is
+pinned to a floor.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import io
-import itertools
 import json
 import pathlib
-import random
 import time
 from contextlib import redirect_stdout
-from fractions import Fraction
-from math import comb
 
-from idealis.space import Clopen, Dyadic, Tri, pair, tri_or
-from idealis.enumerations import (
-    basic_open_cantor,
-    clopen_enum,
-    clopen_rank,
-    kcomb_rank,
-    kcomb_unrank,
-)
-from idealis.countable import countable_encode, countable_member
-from idealis.meager import (
-    DenseOpenParam,
-    MeagerParam,
-    dense_open_encode,
-    dense_section_stage,
-    fxp_eval,
-    meager_eval,
-    partition_from,
-)
-from idealis.nullset import (
-    null_encode_detail,
-    null_member,
-    null_stage,
-    null_term,
-)
-from idealis.closed_null import (
-    EParam,
-    ETripleParam,
-    e_fsigma_member,
-    e_open_encode,
-    e_open_stage,
-    e_term,
-)
-from idealis.domination import (
-    KsigmaParam,
-    dominated_from,
-    ksigma_diagonal,
-    ksigma_encode,
-    laver_encode,
-    laver_witnesses,
-)
-from idealis.checks import (
-    random_cover_family,
-    random_dense_clopen,
-    random_null_param,
-    random_triple,
-)
+from idealis import checks
 from idealis.cli import main as cli_main
+
+# the fewest cases each criterion may run
+CASE_FLOORS = {
+    1: 5400,
+    2: 848,
+    3: 185160,
+    4: 1050,
+    5: 242612,
+    6: 1830,
+    7: 1500,
+    8: 1024256,
+    9: 131071,
+    10: 509,
+    11: 45,
+}
 
 
 def report(number, description, failures, cases):
@@ -67,336 +35,95 @@ def report(number, description, failures, cases):
     print(f"{status} criterion {number:2d}: {description} "
           f"({cases} cases, {failures} failures)")
     assert failures == 0, f"criterion {number}: {failures}/{cases} failed"
+    assert cases >= CASE_FLOORS[number], (
+        f"criterion {number}: {cases} cases, fewer than {CASE_FLOORS[number]}"
+    )
+
+
+def report_suites(number, description, *suites):
+    properties = [p for suite in suites for p in suite]
+    for p in properties:
+        if p["failures"]:
+            print(f"  {p['name']}: {p['failures']}/{p['cases']} failed")
+    report(
+        number,
+        description,
+        sum(p["failures"] for p in properties),
+        sum(p["cases"] for p in properties),
+    )
 
 
 def test_criterion_01_null_guard_invariant():
-    rng = random.Random(424242)
     started = time.monotonic()
-    failures = cases = 0
-    for _ in range(200):
-        f = random_null_param(rng, rows=9, k_hi=64)
-        for n in range(9):
-            # stages grow with the bound, so the top stage bounds them all
-            top = null_stage(f, n, 64)
-            cases += 1
-            if not top.measure() < Dyadic.half_power(n):
-                failures += 1
-            for k_hi in (n + 1, 24):
-                cases += 1
-                if not null_stage(f, n, k_hi).measure() < Dyadic.half_power(n):
-                    failures += 1
+    # bound 1 reads as each row's first term, n + 1
+    props = checks.suite_null_guard(424242, params=200, rows=9, k_hi=64, inner_bounds=(1, 24))
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"guard sweep took {elapsed:.1f}s"
-    report(1, "null stage measure stays under 2^-n", failures, cases)
+    report_suites(1, "null stage measure stays under 2^-n", props)
 
 
 def test_criterion_02_null_encoder_laws():
-    rng = random.Random(77)
-    failures = cases = 0
-    for _ in range(50):
-        depth = rng.randint(1, 7)  # covers rows 0..N with N <= 6
-        fam = random_cover_family(rng, depth, max_pieces=8, max_level=10)
-        enc = null_encode_detail(fam)
-        f = enc.param
-
-        suffix = [Fraction(0)] * (len(enc.flat) + 1)
-        for i in range(len(enc.flat) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + enc.flat[i].measure().as_fraction()
-
-        for n in range(depth):  # (a) exact tail bound
-            cut = enc.cuts[n + 1]
-            tail = suffix[cut] if cut < len(suffix) else Fraction(0)
-            cases += 1
-            if not tail < Fraction(1, 2 ** (n + 1)):
-                failures += 1
-        for m, block in enumerate(enc.blocks):  # (b) exact block bound
-            cases += 1
-            if not block.measure().as_fraction() < Fraction(1, 2**m):
-                failures += 1
-        for n in range(depth):  # (c) guard transparency
-            raw = [
-                clopen_enum(n, f.cell(n, k))
-                for k in range(n + 1, f.witness[n] + 1)
-            ]
-            guarded = [null_term(f, n, k) for k in range(n + 1, f.witness[n] + 1)]
-            cases += 1
-            if raw != guarded:
-                failures += 1
-        for n in range(depth):  # (d) covered point membership at every stage
-            cases += 1
-            if null_member(f, "0" * 10, n) is not Tri.HOLDS:
-                failures += 1
-    report(2, "null encoder tail/block/guard/coverage laws", failures, cases)
+    props = checks.suite_null_encoder(77, families=50, depth_cap=7, every_stage=True)
+    report_suites(2, "null encoder tail/block/guard/coverage laws", props)
 
 
 def test_criterion_03_enumeration_completeness():
-    failures = cases = 0
-    for n in range(4):
-        oracle = []
-        for level in range(1, 5):
-            nbits = 1 << level
-            budget = (1 << (level - n)) - 1 if level > n else 0
-            for mask in range(1, 1 << nbits):
-                if bin(mask).count("1") > budget:
-                    continue
-                bits = format(mask, f"0{nbits}b")[::-1]
-                if bits[0::2] == bits[1::2]:
-                    continue
-                oracle.append(Clopen(level, mask))
-        got = [clopen_enum(n, k) for k in range(1, len(oracle) + 1)]
-        cases += len(oracle)
-        failures += sum(1 for g, o in zip(got, oracle) if g != o)
-        for k, c in enumerate(got, start=1):
-            cases += 1
-            if clopen_rank(n, c) != k:
-                failures += 1
-        cases += 1
-        if len(set(got)) != len(got):
-            failures += 1
-    report(3, "clopen enumeration complete and rank-invertible", failures, cases)
+    # the enumeration suite draws nothing at random; seed 0 is a placeholder
+    props = checks.suite_enum_bijection(0, level_cap=4, n_cap=3, rank_enumerated=True)
+    report_suites(3, "clopen enumeration complete and rank-invertible", props)
 
 
 def test_criterion_04_meager_density_repair():
-    rng = random.Random(99)
-    failures = cases = 0
-    for _ in range(100):
-        x = DenseOpenParam(tuple(rng.randrange(50) for _ in range(11)))
-        stage = dense_section_stage(x, 10)
-        for n in range(1, 11):
-            cases += 1
-            if not stage.meets(basic_open_cantor(n)):
-                failures += 1
-    for _ in range(50):
-        w = random_dense_clopen(rng, 8, 7)
-        x = dense_open_encode(w, 7)
-        cases += 1
-        if not dense_section_stage(x, 7).subset(w):
-            failures += 1
-    report(4, "dense sections meet every basic set; encoder stays inside", failures, cases)
-
-
-def brute_fxp(x, partition, z, from_block):
-    avail = min(len(x), len(z))
-    answers = []
-    for i, (a, b) in enumerate(partition.intervals):
-        if i < from_block or b > avail:
-            continue
-        answers.append(x[a:b] != z[a:b])
-    if not answers:
-        return None
-    return Tri.HOLDS if all(answers) else Tri.FAILS
+    props = checks.suite_meager_density(
+        99, prefixes=100, encoders=50, entry_bound=50, every_stage=True
+    )
+    report_suites(4, "dense sections meet every basic set; encoder stays inside", props)
 
 
 def test_criterion_05_fxp_oracle_equivalence():
-    rng = random.Random(5)
-    failures = cases = 0
-
-    partitions = [
-        partition_from(y)
-        for length in range(1, 4)
-        for y in itertools.product(range(4), repeat=length)
-    ]
-    # fully exhaustive pair sweep at small lengths
-    for p in partitions:
-        cov = p.covered
-        if cov > 5:
-            continue
-        for xv in range(1 << cov):
-            x = format(xv, f"0{cov}b")
-            for zv in range(1 << cov):
-                z = format(zv, f"0{cov}b")
-                for fb in range(len(p.intervals)):
-                    expect = brute_fxp(x, p, z, fb)
-                    cases += 1
-                    if fxp_eval(x, p, z, fb) is not expect:
-                        failures += 1
-
-    # both sides read the prefixes only through their difference pattern,
-    # so seeded representatives of every pattern finish the sweep up to
-    # length 12 exactly
-    small = [
-        partition_from(y)
-        for length in range(1, 4)
-        for y in itertools.product(range(3), repeat=length)
-    ]
-    from idealis.errors import InsufficientPrefix
-
-    for length in range(6, 13):
-        usable = [p for p in small if p.intervals[0][1] <= length]
-        for dv in range(1 << length):
-            xv = rng.randrange(1 << length)
-            x = format(xv, f"0{length}b")
-            z = format(xv ^ dv, f"0{length}b")
-            for p in usable[::3]:
-                for fb in (0, len(p.intervals) - 1):
-                    expect = brute_fxp(x, p, z, fb)
-                    cases += 1
-                    if expect is None:
-                        # window holds no complete block: the evaluator
-                        # must refuse rather than answer
-                        try:
-                            fxp_eval(x, p, z, fb)
-                            failures += 1
-                        except InsufficientPrefix:
-                            pass
-                    elif fxp_eval(x, p, z, fb) is not expect:
-                        failures += 1
-    report(5, "block-difference evaluator matches the literal formula", failures, cases)
+    props = checks.suite_fxp_oracle(
+        5, widths=4, blocks=3, exhaustive_len=5, class_lens=range(6, 13)
+    )
+    report_suites(5, "block-difference evaluator matches the literal formula", props)
 
 
 def test_criterion_06_e_ideal_fullness():
-    rng = random.Random(606)
-    failures = cases = 0
-    for i in range(100):
-        p = random_triple(rng, 9, x0_bound=3, x1_bound=13)
-        if i % 2:  # force the shallow-level branch somewhere
-            p = ETripleParam(p.x0, tuple(0 for _ in p.x1), p.x2)
-        running = Clopen.empty()
-        for n_max in range(9):
-            running = running.union(e_term(p, n_max))
-            cases += 1
-            if not running.measure() >= Dyadic.one() - Dyadic.half_power(n_max):
-                failures += 1
-        for n in range(9):
-            m = p.x0[n] + n
-            lvl = max(p.x1[n], m)
-            expect = (1 << lvl) - (1 << (lvl - m)) if m else 0
-            cases += 1
-            if e_term(p, n).mask_at(lvl).bit_count() != expect:
-                failures += 1
-    for _ in range(30):
-        lvl = rng.randint(4, 7)
-        v = Clopen.cylinder(format(rng.randrange(1 << lvl), f"0{lvl}b")).complement()
-        q = e_open_encode(v, lvl - 1)
-        cases += 1
-        if not e_open_stage(q, lvl - 1).subset(v):
-            failures += 1
-    report(6, "full-measure stages, term cardinality, encoder inclusion", failures, cases)
+    props = checks.suite_e_fullness(
+        606, params=100, n_max=8, encoders=30, x1_bound=13, every_stage=True
+    )
+    report_suites(6, "full-measure stages, term cardinality, encoder inclusion", props)
 
 
 def test_criterion_07_ksigma_diagonal():
-    rng = random.Random(7007)
-    failures = cases = 0
-    for _ in range(100):
-        y = KsigmaParam(tuple(rng.randrange(9) for _ in range(12)))
-        g = ksigma_diagonal(y)
-        for n in range(11):
-            cases += 1
-            if dominated_from(y, g, n):
-                failures += 1
-        pts = [tuple(rng.randrange(9) for _ in range(12)) for _ in range(4)]
-        bound = ksigma_encode(pts)
-        for p in pts:
-            cases += 1
-            if not dominated_from(bound, p, 0):
-                failures += 1
-    report(7, "diagonal escapes every stage; encoder dominates inputs", failures, cases)
+    props = checks.suite_domination(7007, bounds=100)
+    report_suites(7, "diagonal escapes every stage; encoder dominates inputs", props)
 
 
 def test_criterion_08_laver_oracle_equivalence():
-    rng = random.Random(808)
-    failures = cases = 0
-    universe = [()]
-    for length in range(1, 6):
-        universe += list(itertools.product(range(4), repeat=length))
-    windows = [(0, 6), (0, 3), (2, 5), (4, 6), (1, 1)]
-    for _ in range(50):
-        phi = {s: rng.randrange(4) for s in rng.sample(universe, 60)}
-        p = laver_encode(phi)
-        for f in itertools.product(range(4), repeat=6):
-            for n0, n1 in windows:
-                expect = sum(
-                    1 for n in range(n0, n1) if f[n] < phi.get(tuple(f[:n]), 0)
-                )
-                cases += 1
-                if laver_witnesses(p, f, n0, n1) != expect:
-                    failures += 1
-    zero = laver_encode({})
-    for f in itertools.product(range(4), repeat=4):
-        cases += 1
-        if laver_witnesses(zero, f, 0, 4) != 0:
-            failures += 1
-    report(8, "window witness counts match the literal predicate", failures, cases)
+    props = checks.suite_domination(
+        808,
+        maps=50,
+        alphabet=4,
+        length=6,
+        labelled=60,
+        windows=((0, 6), (0, 3), (2, 5), (4, 6), (1, 1)),
+    )
+    report_suites(8, "window witness counts match the literal predicate", props)
 
 
 def test_criterion_09_combinadics():
-    failures = cases = 0
-    for n in range(17):
-        for t in range(n + 1):
-            for r in range(comb(n, t)):
-                cases += 1
-                if kcomb_rank(n, kcomb_unrank(n, t, r)) != r:
-                    failures += 1
-    report(9, "combinadic rank inverts unrank for every subset up to 16", failures, cases)
-
-
-def _decided(answers):
-    return {a for a in answers if a is not Tri.UNKNOWN}
+    props = checks.suite_enum_bijection(0, comb_cap=16)
+    report_suites(9, "combinadic rank inverts unrank for every subset up to 16", props)
 
 
 def test_criterion_10_tri_monotonicity():
-    rng = random.Random(1010)
-    failures = cases = 0
-
-    for _ in range(125):
-        depth = rng.randint(2, 6)
-        pts = [
-            tuple(rng.randrange(4) for _ in range(depth))
-            for _ in range(rng.randint(0, 5))
-        ]
-        y = countable_encode(pts, depth)
-        x = tuple(rng.randrange(4) for _ in range(depth))
-        answers = [
-            countable_member(y, x, rows, d)
-            for rows in range(len(pts) + 2)
-            for d in range(1, depth + 1)
-        ]
-        cases += 1
-        if len(_decided(answers)) > 1:
-            failures += 1
-
-    for _ in range(125):
-        horizon = rng.randint(2, 6)
-        rows = rng.randint(1, 3)
-        size = 1 + max(pair(r, n) for r in range(rows) for n in range(horizon + 1))
-        p = MeagerParam(tuple(rng.randrange(12) for _ in range(size)), rows, horizon)
-        z = format(rng.randrange(16), "04b")
-        answers = [meager_eval(p, z, rows, n) for n in range(1, horizon + 1)]
-        cases += 1
-        if len(_decided(answers)) > 1:
-            failures += 1
-
-    for _ in range(125):
-        f = random_null_param(rng, 8, 24)
-        z = format(rng.randrange(32), "05b")
-        answers = [null_member(f, z, n) for n in range(8)]
-        cases += 1
-        if len(_decided(answers)) > 1:
-            failures += 1
-
-    for _ in range(125):
-        horizon = rng.randint(1, 5)
-        triples = [random_triple(rng, horizon + 1) for _ in range(rng.randint(1, 2))]
-        p = EParam.from_triples(triples, horizon)
-        z = format(rng.randrange(32), "05b")
-        answers = [e_fsigma_member(p, z, p.rows, n) for n in range(horizon + 1)]
-        cases += 1
-        if len(_decided(answers)) > 1:
-            failures += 1
-
-    # exhaustive composition table for the product evaluator
-    for a, b in itertools.product(Tri, repeat=2):
-        expect = (
-            Tri.HOLDS
-            if Tri.HOLDS in (a, b)
-            else Tri.FAILS
-            if (a, b) == (Tri.FAILS, Tri.FAILS)
-            else Tri.UNKNOWN
-        )
-        cases += 1
-        if tri_or(a, b) is not expect:
-            failures += 1
-    report(10, "stage refinement never flips a decided answer", failures, cases)
+    props = checks.suite_tri_monotone(
+        1010, per_module=125, null_rows=8, null_k_hi=24, null_z_bits=5
+    )
+    # the fubini suite holds the exhaustive composition table
+    report_suites(
+        10, "stage refinement never flips a decided answer", props, checks.suite_fubini(1010)
+    )
 
 
 def test_criterion_11_cli_stability():

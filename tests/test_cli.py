@@ -198,3 +198,37 @@ def test_queries_build_no_cylinder_past_the_cap(monkeypatch):
     assert fsigma_member("00" + "1" * 38, 2, 1, 1, stage) is Tri.FAILS
     assert fsigma_member("00" + "1" * 38, 2, 0, 1, stage) is Tri.UNKNOWN
     assert fsigma_member("11" + "0" * 38, 2, 1, 1, stage) is Tri.HOLDS
+
+
+WHOLE_SPACE = '{"level":0,"words":[""]}'
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["e", "encode", "--clopen", WHOLE_SPACE, "--m-max", "18"], "LevelCapExceeded"),
+        (["enum", "kcomb", "--N", "80000", "--t", "40000"], "LevelCapExceeded"),
+        (["enum", "kprime", "--space", "baire", "--n", "1", "--m", "400000"], "IndexOutOfRange"),
+        (["e", "encode", "--clopen", WHOLE_SPACE, "--m-max", "12"], None),
+        (["enum", "kcomb", "--N", "4096", "--t", "2048", "--r", "123456789"], None),
+        (["enum", "kprime", "--space", "baire", "--n", "1", "--m", "65535"], None),
+    ],
+    ids=[
+        "e-encode-past-cap",
+        "kcomb-past-cap",
+        "baire-kprime-past-budget",
+        "e-encode-at-cap",
+        "kcomb-at-cap",
+        "baire-kprime-at-budget",
+    ],
+)
+def test_argv_past_a_work_bound_is_refused_at_once(argv, error):
+    # the level cap bounds e encode and kcomb, a budget of 2^16 Baire kprime
+    start = time.perf_counter()
+    code, out = run_cli(argv)
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(out)
+    if error is None:
+        assert code == 0 and "error" not in doc
+    else:
+        assert code == 2 and doc["error"] == error

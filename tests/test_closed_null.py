@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from idealis.checks import random_triple
 from idealis.closed_null import (
     EParam,
     ETripleParam,
@@ -13,14 +14,6 @@ from idealis.closed_null import (
 )
 from idealis.errors import InsufficientPrefix, InsufficientResolution
 from idealis.space import Clopen, Dyadic, Tri, pair
-
-
-def random_triple(rng, positions, x0_bound=3, x1_bound=12):
-    return ETripleParam(
-        tuple(rng.randrange(x0_bound) for _ in range(positions)),
-        tuple(rng.randrange(x1_bound) for _ in range(positions)),
-        tuple(rng.randrange(10**9) for _ in range(positions)),
-    )
 
 
 class TestTerm:

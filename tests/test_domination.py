@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from idealis.checks import brute_witnesses
 from idealis.domination import (
     KsigmaParam,
     LaverParam,
@@ -14,15 +15,6 @@ from idealis.domination import (
 )
 from idealis.errors import InsufficientPrefix
 from idealis.space import seq_code
-
-
-def brute_witnesses(phi_map, f, n0, n1):
-    """Oracle: literal evaluation of the displayed predicate per window."""
-    count = 0
-    for n in range(n0, n1):
-        if f[n] < phi_map.get(tuple(f[:n]), 0):
-            count += 1
-    return count
 
 
 class TestDominatedFrom:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from idealis.checks import brute_fxp
 from idealis.errors import InsufficientPrefix, NotDense
 from idealis.meager import (
     DenseOpenParam,
@@ -16,19 +17,6 @@ from idealis.meager import (
 )
 from idealis.enumerations import basic_open_cantor
 from idealis.space import Clopen, Tri
-
-
-def brute_fxp(x, partition, z, from_block):
-    """Oracle: literal per-block comparison over the complete blocks."""
-    avail = min(len(x), len(z))
-    answers = []
-    for i, (a, b) in enumerate(partition.intervals):
-        if i < from_block or b > avail:
-            continue
-        answers.append(x[a:b] != z[a:b])
-    if not answers:
-        return None
-    return Tri.HOLDS if all(answers) else Tri.FAILS
 
 
 class TestPartition:

