@@ -1,14 +1,18 @@
 """Canonical enumerations consumed by the universal-set constructions.
 
 The master clopen enumeration orders canonical clopen sets by
-(canonical level, word-set bitmask value).  Ranking and unranking share
-one walk over the bitmask digits that counts completions with binomial
-prefix sums, each term carried from the last by Pascal's ratio
-C(b, j + 1) = C(b, j) (b - j) / (j + 1), so both stay exact far past
-the range where brute-force scans are possible.  Enumerated sets are
-memoized together with the level cap they were computed under.  Basic
-open sets, the nonempty-basic-subset index, lexicographic words and
-combinadic subset (un)ranking live here as well.
+(canonical level, word-set bitmask value).  Ranking and unranking walk
+the bitmask digits from the top and count completions with binomial
+prefix sums T(b, q) = C(b, 0) + ... + C(b, q), so both stay exact far
+past the range where brute-force scans are possible.  Unranking needs
+the sums at every digit and carries them from one digit to the next in
+O(1) big-integer operations, from start values memoized per (level, n)
+next to the level's size.  Ranking needs them only at 1 digits and
+reads them from the ``_tsum`` memo, which is cheaper for the sparse
+masks it is asked about.  Enumerated sets are memoized together with
+the level cap they were computed under.  Basic open sets, the
+nonempty-basic-subset index, lexicographic words and combinadic subset
+(un)ranking live here as well.
 """
 
 from __future__ import annotations
@@ -28,20 +32,30 @@ BAIRE = "baire"
 BAIRE_KPRIME_BUDGET = 1 << 16
 
 
-@lru_cache(maxsize=1 << 16)
-def _tsum(b: int, q: int) -> int:
-    """Number of b-bit masks with population count at most q."""
+def _binomial_prefix(b: int, q: int) -> tuple[int, int]:
+    """(T(b, q), C(b, q)): the b-bit masks with at most q ones, and with
+    exactly q ones, summed over the shorter side in O(min(q, b - q)) steps.
+    q is clamped to [-1, b], so q >= b gives (2^b, 1)."""
     if q < 0:
-        return 0
+        return 0, 0
     if q >= b:
-        return 1 << b
-    if q > b - q - 1:
-        return (1 << b) - _tsum(b, b - q - 1)
+        return 1 << b, 1
+    mirror = q > b - q - 1
+    m = b - q - 1 if mirror else q
     term = total = 1
-    for j in range(q):
+    for j in range(m):
         term = term * (b - j) // (j + 1)
         total += term
-    return total
+    if mirror:
+        # T(b, q) = 2^b - T(b, b - q - 1) and C(b, q) = C(b, m + 1)
+        return (1 << b) - total, term * (b - m) // (m + 1)
+    return total, term
+
+
+@lru_cache(maxsize=1 << 16)
+def _tsum(b: int, q: int) -> int:
+    """Number of b-bit masks with population count at most q (ranking only)."""
+    return _binomial_prefix(b, q)[0]
 
 
 def _popcount_budget(level: int, n: int) -> int:
@@ -49,63 +63,129 @@ def _popcount_budget(level: int, n: int) -> int:
     return (1 << (level - n)) - 1 if level > n else 0
 
 
-def _level_count(level: int, n: int) -> int:
-    """Canonical clopen sets of exactly this level with measure < 2^-n.
+@lru_cache(maxsize=1 << 8)
+def _level_start(level: int, n: int) -> tuple[int, int, int, int, int]:
+    """The level's count, then T(p, q), C(p, q), T(p // 2, q // 2) and
+    C(p // 2, q // 2) at its top position p = 2^level - 1 with the whole
+    popcount budget q.
 
-    Counted as: masks within the popcount budget, minus the ones whose
-    sibling pairs all agree (those live at a smaller level; the zero mask
-    is among them, so the empty set is never double counted).
+    The count is the masks within the budget, minus the ones whose sibling
+    pairs all agree (those live at a smaller level; the zero mask is among
+    them, so the empty set is never double counted).  Both grow from the
+    top position's sums by T(p + 1, q) = 2 T(p, q) - C(p, q), as q <= p.
     """
-    if level == 0:
-        return 0
-    p = _popcount_budget(level, n)
-    return _tsum(1 << level, p) - _tsum(1 << (level - 1), p // 2)
+    p = (1 << level) - 1
+    q = _popcount_budget(level, n)
+    t, c = _binomial_prefix(p, q)
+    th, ch = _binomial_prefix(p // 2, q // 2)
+    return (2 * t - c) - (2 * th - ch), t, c, th, ch
 
 
-def _level_walk(level: int, n: int, mask: int = 0, r: int | None = None) -> tuple[int, int]:
-    """Rank ``mask`` within its level or, given ``r``, unrank ``r``.
+def _level_count(level: int, n: int) -> int:
+    """Canonical clopen sets of exactly this level with measure < 2^-n."""
+    return _level_start(level, n)[0]
+
+
+def _unrank_in_level(level: int, n: int, r: int) -> int:
+    """The mask of rank ``r`` within its level, read from the top bit.
+
+    The same count as ``_rank_in_level``, but every step needs it, so
+    T(p, q) and T(p // 2, q // 2) are carried from the step before with
+    their binomials C(p, q) and C(p // 2, q // 2), each q clamped to its p,
+    in O(1) big-integer operations and no memo entries:
+    C(p - 1, q) = C(p, q)(p - q)/p,  T(p - 1, q) = (T(p, q) + C(p - 1, q))/2,
+    T(p, q - 1) = T(p, q) - C(p, q),  C(p, q - 1) = C(p, q) q/(p - q + 1).
+    Once a sibling pair disagrees the second sum is no longer needed, and
+    once the budget exceeds the positions left the rest of the mask is
+    ``r`` minus the rank so far.
+    """
+    p = (1 << level) - 1
+    q = _popcount_budget(level, n)
+    _, t, c, th, ch = _level_start(level, n)
+    mask = rank = 0
+    pend = None
+    while True:
+        # every closed pair agrees: the completions that keep agreeing
+        # (pend is 0 or None) pair up over the p // 2 pairs left
+        with_zero = t if pend == 1 else t - th
+        bit = r >= rank + with_zero
+        if bit:
+            mask |= 1 << p
+            rank += with_zero
+            if q <= p:
+                t, c = t - c, c * q // (p - q + 1)
+            hp, hq = p >> 1, q >> 1
+            if q % 2 == 0 and hq <= hp:
+                th, ch = th - ch, ch * hq // (hp - hq + 1)
+            q -= 1
+        if p == 0:
+            assert q >= 0 and rank == r
+            return mask
+        if q >= p:
+            t, c = t >> 1, 1
+        else:
+            c = c * (p - q) // p
+            t = (t + c) >> 1
+        if p % 2:
+            pend = bit
+        elif pend != bit:
+            break
+        else:
+            pend = None
+            hp, hq = p >> 1, q >> 1
+            if hq >= hp:
+                th, ch = th >> 1, 1
+            else:
+                ch = ch * (hp - hq) // hp
+                th = (th + ch) >> 1
+        p -= 1
+    # a pair disagrees: every completion within the budget counts
+    while True:
+        p -= 1
+        if q > p:
+            # the budget covers every position left
+            assert r - rank < 2 << p
+            return mask | (r - rank)
+        if r >= rank + t:
+            mask |= 1 << p
+            rank += t
+            t, c = t - c, c * q // (p - q + 1)
+            q -= 1
+        if p == 0:
+            assert q >= 0 and rank == r
+            return mask
+        c = c * (p - q) // p
+        t = (t + c) >> 1
+
+
+def _rank_in_level(level: int, n: int, mask: int) -> int:
+    """Rank ``mask`` within its level.
 
     Reads the bits from the top; at each 1 bit the rank gains the masks
-    that agree above it and put 0 there, so ranking counts only at 1 bits.
-    Masks count within the popcount budget ``q``, minus those whose
-    sibling pairs all agree: ``uniform`` says every closed pair agrees so
-    far, ``pend`` is the high bit of an open pair (None when the remaining
-    positions pair up).  Returns (mask, rank).
+    that agree above it and put 0 there, so it counts only at 1 bits,
+    through the ``_tsum`` memo.  Masks count within the popcount budget
+    ``q``, minus those whose sibling pairs all agree: ``uniform`` says
+    every closed pair agrees so far, ``pend`` is the high bit of an open
+    pair (None when the remaining positions pair up).
     """
-    unranking = r is not None
     q = _popcount_budget(level, n)
     uniform, pend = True, None
     rank = 0
     for p in range((1 << level) - 1, -1, -1):
-        bit = 0 if unranking else mask >> p & 1
-        if bit or unranking:
-            with_zero = _tsum(p, q)
+        bit = mask >> p & 1
+        if bit:
+            rank += _tsum(p, q)
             if uniform and pend != 1:
                 # pend is 0 or None: the agreeing completions pair up over
                 # the p // 2 pairs left
-                with_zero -= _tsum(p // 2, q // 2)
-            if unranking and r >= rank + with_zero:
-                bit = 1
-                mask |= 1 << p
-            if bit:
-                rank += with_zero
-                q -= 1
+                rank -= _tsum(p // 2, q // 2)
+            q -= 1
         if p % 2:
             pend = bit
         else:
             uniform, pend = uniform and pend == bit, None
     assert q >= 0
-    return mask, rank
-
-
-def _unrank_in_level(level: int, n: int, r: int) -> int:
-    mask, rank = _level_walk(level, n, r=r)
-    assert rank == r
-    return mask
-
-
-def _rank_in_level(level: int, n: int, mask: int) -> int:
-    return _level_walk(level, n, mask)[1]
+    return rank
 
 
 @lru_cache(maxsize=1 << 16)

@@ -70,6 +70,14 @@ def build_cases():
         "enum_clopen_zero": ["enum", "clopen", "--n", "1", "--k", "0"],
         "enum_clopen_first": ["enum", "clopen", "--n", "1", "--k", "1"],
         "enum_clopen_deep": ["enum", "clopen", "--n", "2", "--k", "17"],
+        "enum_clopen_level10": [
+            "enum", "clopen", "--n", "5", "--k",
+            "34505918846920305733576128911642631583854339444988288630505",
+        ],
+        "enum_clopen_level12": [
+            "enum", "clopen", "--n", "7", "--k",
+            "537410025563134175981921049994645246178576595010601451440686193807851196410724",
+        ],
         "enum_basic_cantor": ["enum", "basic", "--space", "cantor", "--k", "5"],
         "enum_basic_baire": ["enum", "basic", "--space", "baire", "--k", "3"],
         "enum_kprime": ["enum", "kprime", "--n", "2", "--m", "1"],
@@ -137,6 +145,7 @@ def build_cases():
             "--proxy", "nwd", "--split", "1",
         ],
         "check_fubini": ["check", "--suite", "fubini", "--seed", "7"],
+        "check_all": ["check", "--suite", "all", "--seed", "7"],
         "error_unknown_suite": ["check", "--suite", "nope"],
         "error_malformed": ["space", "measure", "--clopen", "not-json"],
         "error_short_prefix": [

@@ -127,24 +127,23 @@ def test_criterion_10_tri_monotonicity():
 
 
 def test_criterion_11_cli_stability():
+    # the check_all golden pins the full `check --suite all` output
     failures = cases = 0
+    elapsed = {}
     golden_dir = pathlib.Path(__file__).parent / "golden"
     for path in sorted(golden_dir.glob("*.json")):
         case = json.loads(path.read_text())
         buf = io.StringIO()
+        started = time.monotonic()
         with redirect_stdout(buf):
             code = cli_main(case["argv"])
+        elapsed[path.stem] = time.monotonic() - started
         cases += 1
         if buf.getvalue() != case["stdout"] or code != case["exit"]:
             failures += 1
 
-    started = time.monotonic()
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = cli_main(["check", "--suite", "all", "--seed", "7"])
-    elapsed = time.monotonic() - started
-    cases += 1
-    if code != 0 or not json.loads(buf.getvalue())["pass"]:
+    check_all = json.loads((golden_dir / "check_all.json").read_text())
+    if check_all["exit"] != 0 or not json.loads(check_all["stdout"])["pass"]:
         failures += 1
-    assert elapsed < 60.0, f"check --suite all took {elapsed:.1f}s"
+    assert elapsed["check_all"] < 60.0, f"check --suite all took {elapsed['check_all']:.1f}s"
     report(11, "golden subcommand outputs and the full check suite", failures, cases)

@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from idealis.errors import IndexOutOfRange, LevelCapExceeded, MeasureTooLarge
 from idealis.enumerations import (
     BaireCylinder,
+    _binomial_prefix,
+    _level_count,
+    _level_start,
     _tsum,
     basic_open,
     basic_open_baire,
@@ -45,6 +48,13 @@ class TestTsum:
         for q in (0, 1, b // 2 - 1, b // 2, b - 1):
             assert _tsum(b, q) == prefix[q]
 
+    def test_prefix_carries_its_last_binomial(self):
+        # q is clamped to b, so q >= b gives the single full mask's C(b, b)
+        for b in range(40):
+            assert _binomial_prefix(b, -1) == (0, 0)
+            for q in range(b + 2):
+                assert _binomial_prefix(b, q) == (_tsum(b, q), comb(b, min(q, b)))
+
 
 class TestClopenEnum:
     def test_index_zero_is_empty_for_every_n(self):
@@ -70,6 +80,31 @@ class TestClopenEnum:
         for n in range(4):
             for k in range(500):
                 assert clopen_rank(n, clopen_enum(n, k)) == k
+
+    def test_cold_unrank_fills_no_tsum_entries(self):
+        for memo in (_tsum, _level_start, clopen_enum):
+            memo.cache_clear()
+        first = 1 + sum(_level_count(level, 1) for level in range(1, 12))
+        c = clopen_enum(1, first + _level_count(12, 1) // 3, cap=12)
+        assert c.level == 12
+        assert _tsum.cache_info().currsize == 0
+
+    def test_first_and_last_rank_of_every_level_round_trip(self):
+        # at n = 0 the budget starts equal to the top position (the
+        # clamp); the last rank of a level spends it down to 0; the middle
+        # and a random rank leave the agreeing pairs early
+        rng = random.Random(8)
+        for n in range(10):
+            k = 1
+            for level in range(1, 11):
+                count = _level_count(level, n)
+                if level > n:
+                    assert count > 0
+                    for r in (k, k + count - 1, k + count // 2, k + rng.randrange(count)):
+                        c = clopen_enum(n, r)
+                        assert c.level == level
+                        assert clopen_rank(n, c) == r
+                k += count
 
     def test_rank_of_empty(self):
         for n in range(5):
