@@ -1,18 +1,19 @@
 """Canonical enumerations consumed by the universal-set constructions.
 
 The master clopen enumeration orders canonical clopen sets by
-(canonical level, word-set bitmask value).  Ranking and unranking walk
-the bitmask digits from the top and count completions with binomial
-prefix sums T(b, q) = C(b, 0) + ... + C(b, q), so both stay exact far
-past the range where brute-force scans are possible.  Unranking needs
-the sums at every digit and carries them from one digit to the next in
-O(1) big-integer operations, from start values memoized per (level, n)
-next to the level's size.  Ranking needs them only at 1 digits and
-reads them from the ``_tsum`` memo, which is cheaper for the sparse
-masks it is asked about.  Enumerated sets are memoized together with
-the level cap they were computed under.  Basic open sets, the
-nonempty-basic-subset index, lexicographic words and combinadic subset
-(un)ranking live here as well.
+(canonical level, word-set bitmask value).  Ranking and unranking count
+completions with binomial prefix sums T(b, q) = C(b, 0) + ... + C(b, q),
+the combinatorial number system, so both stay exact far past the range
+where brute-force scans are possible.  Ranking visits only the mask's 1
+bits, not its 2^level positions, and reads the sums there from the
+``_tsum`` memo.  Unranking starts at the top 1 bit when the rank's own
+length gives it away, and otherwise at the top position from start
+values memoized per (level, n) next to the level's size; it carries the
+sums from one digit to the next in O(1) big-integer operations and stops
+as soon as the rest of the rank is the rest of the mask.  Enumerated sets
+are memoized together with the level cap they were computed under.
+Basic open sets, the nonempty-basic-subset index, lexicographic words and
+combinadic subset (un)ranking live here as well.
 """
 
 from __future__ import annotations
@@ -95,23 +96,34 @@ def _unrank_in_level(level: int, n: int, r: int) -> int:
     in O(1) big-integer operations and no memo entries:
     C(p - 1, q) = C(p, q)(p - q)/p,  T(p - 1, q) = (T(p, q) + C(p - 1, q))/2,
     T(p, q - 1) = T(p, q) - C(p, q),  C(p, q - 1) = C(p, q) q/(p - q + 1).
-    Once a sibling pair disagrees the second sum is no longer needed, and
-    once the budget exceeds the positions left the rest of the mask is
-    ``r`` minus the rank so far.
+
+    The walk skips both runs of zeros it can read off ``r``.  When ``r``
+    has b <= q bits, every mask below 2^b is within the budget and all
+    but the 2^(b // 2) whose pairs agree come first, so the top 1 bit is
+    at b or b - 1 and the walk starts there; otherwise it starts at the
+    top from ``_level_start``.  Once a sibling pair disagrees, the first
+    2^q completions are the numbers below 2^q, so a remaining rank of at
+    most q bits is the rest of the mask as it stands.
     """
-    p = (1 << level) - 1
     q = _popcount_budget(level, n)
-    _, t, c, th, ch = _level_start(level, n)
-    mask = rank = 0
-    pend = None
+    b = r.bit_length()
+    if b < (1 << level) - 1 and b <= q:
+        p = b if r >= (1 << b) - (1 << (b >> 1)) else b - 1
+        t, c, th, ch = 1 << p, 1, 1 << (p >> 1), 1
+        pend = None if p % 2 else 0
+    else:
+        p = (1 << level) - 1
+        _, t, c, th, ch = _level_start(level, n)
+        pend = None
+    mask = 0
     while True:
         # every closed pair agrees: the completions that keep agreeing
         # (pend is 0 or None) pair up over the p // 2 pairs left
         with_zero = t if pend == 1 else t - th
-        bit = r >= rank + with_zero
+        bit = r >= with_zero
         if bit:
             mask |= 1 << p
-            rank += with_zero
+            r -= with_zero
             if q <= p:
                 t, c = t - c, c * q // (p - q + 1)
             hp, hq = p >> 1, q >> 1
@@ -119,7 +131,7 @@ def _unrank_in_level(level: int, n: int, r: int) -> int:
                 th, ch = th - ch, ch * hq // (hp - hq + 1)
             q -= 1
         if p == 0:
-            assert q >= 0 and rank == r
+            assert q >= 0 and r == 0
             return mask
         if q >= p:
             t, c = t >> 1, 1
@@ -142,17 +154,16 @@ def _unrank_in_level(level: int, n: int, r: int) -> int:
     # a pair disagrees: every completion within the budget counts
     while True:
         p -= 1
-        if q > p:
-            # the budget covers every position left
-            assert r - rank < 2 << p
-            return mask | (r - rank)
-        if r >= rank + t:
+        if r.bit_length() <= q:
+            assert r < 2 << p
+            return mask | r
+        if r >= t:
             mask |= 1 << p
-            rank += t
+            r -= t
             t, c = t - c, c * q // (p - q + 1)
             q -= 1
         if p == 0:
-            assert q >= 0 and rank == r
+            assert q >= 0 and r == 0
             return mask
         c = c * (p - q) // p
         t = (t + c) >> 1
@@ -161,29 +172,30 @@ def _unrank_in_level(level: int, n: int, r: int) -> int:
 def _rank_in_level(level: int, n: int, mask: int) -> int:
     """Rank ``mask`` within its level.
 
-    Reads the bits from the top; at each 1 bit the rank gains the masks
-    that agree above it and put 0 there, so it counts only at 1 bits,
-    through the ``_tsum`` memo.  Masks count within the popcount budget
-    ``q``, minus those whose sibling pairs all agree: ``uniform`` says
-    every closed pair agrees so far, ``pend`` is the high bit of an open
-    pair (None when the remaining positions pair up).
+    Visits only the 1 bits, from the top; at each the rank gains the masks
+    that agree above it and put 0 there, read from the ``_tsum`` memo.
+    Masks count within the popcount budget ``q``, minus those whose
+    sibling pairs all agree, and the pair state needs no walk over the
+    zeros: a 1 bit at an odd p opens its pair, one at an even p closes the
+    pair whose high bit is its partner ``p ^ 1``, and ``uniform`` (every
+    closed pair above agrees) turns False at the first 1 bit whose
+    partner is 0.
     """
     q = _popcount_budget(level, n)
-    uniform, pend = True, None
+    uniform = True
     rank = 0
-    for p in range((1 << level) - 1, -1, -1):
-        bit = mask >> p & 1
-        if bit:
-            rank += _tsum(p, q)
-            if uniform and pend != 1:
-                # pend is 0 or None: the agreeing completions pair up over
-                # the p // 2 pairs left
-                rank -= _tsum(p // 2, q // 2)
-            q -= 1
-        if p % 2:
-            pend = bit
-        else:
-            uniform, pend = uniform and pend == bit, None
+    rest = mask
+    while rest:
+        p = rest.bit_length() - 1
+        rest ^= 1 << p
+        partner = mask >> (p ^ 1) & 1
+        rank += _tsum(p, q)
+        if uniform and (p % 2 or not partner):
+            # no pair is open, or the open pair's high bit is 0: the
+            # agreeing completions pair up over the p // 2 pairs left
+            rank -= _tsum(p // 2, q // 2)
+        q -= 1
+        uniform = uniform and partner
     assert q >= 0
     return rank
 

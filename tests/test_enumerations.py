@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from math import comb
@@ -11,7 +12,10 @@ from idealis.enumerations import (
     _binomial_prefix,
     _level_count,
     _level_start,
+    _popcount_budget,
+    _rank_in_level,
     _tsum,
+    _unrank_in_level,
     basic_open,
     basic_open_baire,
     basic_open_cantor,
@@ -22,15 +26,16 @@ from idealis.enumerations import (
     kprime,
     lex_word,
 )
-from idealis.space import Clopen, Dyadic, seq_decode
+from idealis.space import Clopen, Dyadic, index_word, seq_decode
 
 
-def random_canonical(rng, level, n):
-    """A canonical level-`level` set of measure < 2^-n, bits drawn by rng."""
+def random_canonical(rng, level, n, ones=None):
+    """A canonical level-`level` set of measure < 2^-n, bits drawn by rng;
+    ``ones`` words when given, else a random count within the budget."""
     budget = (1 << (level - n)) - 1
     while True:
         mask = 0
-        for p in rng.sample(range(1 << level), rng.randint(1, budget)):
+        for p in rng.sample(range(1 << level), ones or rng.randint(1, budget)):
             mask |= 1 << p
         if Clopen.from_mask(level, mask).level == level:
             return Clopen(level, mask)
@@ -137,6 +142,110 @@ class TestClopenEnum:
         assert clopen_enum(n, rb) == b
         assert (ra < rb) == ((a.level, a.mask) < (b.level, b.mask))
         assert (ra == rb) == (a == b)
+
+
+def enumeration_digest():
+    """SHA-256 over level-wise ranks and unranks, for every n below the
+    level: every rank at levels 1-3; at levels 4-11 a random rank of every
+    bit length (at levels 10-11, past the budget plus two, of every 64th),
+    the level's last rank and the ranks of four random cylinders."""
+    h = hashlib.sha256()
+
+    def put(*values):
+        h.update(repr(values).encode())
+
+    for level in range(1, 4):
+        for n in range(level + 1):
+            for r in range(_level_count(level, n)):
+                mask = _unrank_in_level(level, n, r)
+                put(level, n, r, mask, _rank_in_level(level, n, mask))
+    rng = random.Random(9)
+    for level in range(4, 12):
+        for n in range(level):
+            count = _level_count(level, n)
+            top = (count - 1).bit_length()
+            q = _popcount_budget(level, n)
+            for b in range(top + 1):
+                if level >= 10 and q + 2 < b < top and b % 64:
+                    continue
+                r = rng.randrange(1 << b >> 1, min(1 << b, count))
+                put(level, n, r, _unrank_in_level(level, n, r))
+            put(level, n, count - 1, _unrank_in_level(level, n, count - 1))
+            for _ in range(4):
+                mask = Clopen.cylinder(index_word(rng.getrandbits(level), level)).mask
+                put(level, n, mask, _rank_in_level(level, n, mask))
+    return h.hexdigest()
+
+
+def rank_by_every_position(level, n, mask):
+    """Reference rank: the walk over all 2^level positions, carrying the
+    sibling-pair state bit by bit."""
+    q = _popcount_budget(level, n)
+    uniform, pend = True, None
+    rank = 0
+    for p in range((1 << level) - 1, -1, -1):
+        bit = mask >> p & 1
+        if bit:
+            rank += _tsum(p, q)
+            if uniform and pend != 1:
+                rank -= _tsum(p // 2, q // 2)
+            q -= 1
+        if p % 2:
+            pend = bit
+        else:
+            uniform, pend = uniform and pend == bit, None
+    assert q >= 0
+    return rank
+
+
+def paired_mask(rng, level, n):
+    """A canonical mask whose sibling pairs all agree but the lowest
+    nonzero one, within the budget: it keeps the pair state uniform as
+    deep as a mask can."""
+    budget = _popcount_budget(level, n)
+    pairs = rng.sample(range(1 << (level - 1)), rng.randint(1, (budget + 1) // 2))
+    mask = sum(3 << (2 * j) for j in pairs)
+    return mask ^ (1 << (2 * min(pairs) + rng.randrange(2)))
+
+
+class TestLevelWalks:
+    def test_pinned_digest(self):
+        # generated by the walks over every position, before the
+        # set-bit walks replaced them
+        assert enumeration_digest() == (
+            "3a718b7b1392443171c6f50b469f35312dca4a4f86a499590293960a4cca5baf"
+        )
+
+    def test_rank_matches_every_position_walk(self):
+        rng = random.Random(10)
+        for level in range(1, 11):
+            for n in range(level):
+                budget = _popcount_budget(level, n)
+                masks = [paired_mask(rng, level, n)]
+                for ones in (1, 2, 3, budget):
+                    if ones <= budget and (level < 10 or ones < 256):
+                        masks.append(random_canonical(rng, level, n, ones).mask)
+                for mask in masks:
+                    want = rank_by_every_position(level, n, mask)
+                    assert _rank_in_level(level, n, mask) == want
+                    assert _unrank_in_level(level, n, want) == mask
+
+    def test_every_cylinder_round_trips(self):
+        for level in range(1, 10):
+            for i in range(1 << level):
+                c = Clopen.cylinder(index_word(i, level))
+                for n in range(level):
+                    assert clopen_enum(n, clopen_rank(n, c)) == c
+
+    def test_adjacent_ranks_of_every_bit_length_keep_order(self):
+        rng = random.Random(11)
+        for n in range(8):
+            past = 1 + sum(_level_count(level, n) for level in range(1, 9))
+            for b in range(1, (past - 2).bit_length() + 1):
+                k = rng.randrange(1 << b >> 1, min(1 << b, past - 1))
+                a, c = clopen_enum(n, k), clopen_enum(n, k + 1)
+                assert (a.level, a.mask) < (c.level, c.mask)
+                assert clopen_rank(n, a) == k and clopen_rank(n, c) == k + 1
 
 
 class TestBasicOpen:
