@@ -501,7 +501,8 @@ def suite_domination(
     windows=((0, 5), (1, 3), (2, 5)),
 ):
     """Each of `maps` labellings gives values below `alphabet` to
-    `labelled` sequences shorter than `length`; every f in
+    `labelled` sequences shorter than `length` (or, for a pair (lo, hi),
+    to a random number of them from lo to hi); every f in
     alphabet^length is counted over every window."""
     rng = random.Random(seed)
     props = []
@@ -528,7 +529,8 @@ def suite_domination(
     points = list(itertools.product(range(alphabet), repeat=length))
     bad = cases = 0
     for _ in range(maps):
-        phi = {s: rng.randrange(alphabet) for s in rng.sample(universe, labelled)}
+        size = labelled if isinstance(labelled, int) else rng.randint(*labelled)
+        phi = {s: rng.randrange(alphabet) for s in rng.sample(universe, size)}
         p = laver_encode(phi)
         for f in points:
             for n0, n1 in windows:

@@ -7,11 +7,13 @@ the combinatorial number system, so both stay exact far past the range
 where brute-force scans are possible.  Ranking visits only the mask's 1
 bits, not its 2^level positions, and reads the sums there from the
 ``_tsum`` memo.  Unranking starts at the top 1 bit when the rank's own
-length gives it away, and otherwise at the top position from start
-values memoized per (level, n) next to the level's size; it carries the
-sums from one digit to the next in O(1) big-integer operations and stops
-as soon as the rest of the rank is the rest of the mask.  Enumerated sets
-are memoized together with the level cap they were computed under.
+length gives it away, and otherwise at the lowest memoized rung above
+the top 1 bit, one of at most 64 start values per (level, n) found by
+bisecting the counts of masks that are 0 from each rung up; it carries
+the sums from one digit to the next in O(1) big-integer operations and
+stops as soon as the rest of the rank is the rest of the mask.
+Enumerated sets are memoized together with the level cap they were
+computed under.
 Basic open sets, the nonempty-basic-subset index, lexicographic words and
 combinadic subset (un)ranking live here as well.
 """
@@ -19,6 +21,7 @@ combinadic subset (un)ranking live here as well.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -87,6 +90,48 @@ def _level_count(level: int, n: int) -> int:
     return _level_start(level, n)[0]
 
 
+@lru_cache(maxsize=1 << 8)
+def _level_ladder(level: int, n: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """Rungs for ``_unrank_in_level`` to start at, lowest first.
+
+    A rung is the walk's start values (p, T(p, q), C(p, q), T(p // 2,
+    q // 2), C(p // 2, q // 2)) at an odd position p under an all-zero
+    prefix, at every stride-th position down from the top, stride =
+    max(16, 2^level >> 6), so a level has at most 64 rungs.  Next to them
+    are the ascending counts G(p) = T(p, q) - T(p // 2, q // 2) of the
+    masks that are 0 at p and above: a rank r has its top 1 bit at or
+    above p exactly when G(p) <= r.  One walk from the top's start values
+    over the zero prefix fills both, with the same carries as the unrank
+    walk.
+    """
+    q = _popcount_budget(level, n)
+    top = (1 << level) - 1
+    stride = max(16, (top + 1) >> 6)
+    _, t, c, th, ch = _level_start(level, n)
+    counts, rungs = [], []
+    p = top
+    while True:
+        if (top - p) % stride == 0:
+            counts.append(t - th)
+            rungs.append((p, t, c, th, ch))
+            if p < stride:
+                return tuple(reversed(counts)), tuple(reversed(rungs))
+        if q >= p:
+            t, c = t >> 1, 1
+        else:
+            c = c * (p - q) // p
+            t = (t + c) >> 1
+        if p % 2 == 0:
+            # a pair of zeros closes, so every closed pair still agrees
+            hp, hq = p >> 1, q >> 1
+            if hq >= hp:
+                th, ch = th >> 1, 1
+            else:
+                ch = ch * (hp - hq) // hp
+                th = (th + ch) >> 1
+        p -= 1
+
+
 def _unrank_in_level(level: int, n: int, r: int) -> int:
     """The mask of rank ``r`` within its level, read from the top bit.
 
@@ -100,10 +145,14 @@ def _unrank_in_level(level: int, n: int, r: int) -> int:
     The walk skips both runs of zeros it can read off ``r``.  When ``r``
     has b <= q bits, every mask below 2^b is within the budget and all
     but the 2^(b // 2) whose pairs agree come first, so the top 1 bit is
-    at b or b - 1 and the walk starts there; otherwise it starts at the
-    top from ``_level_start``.  Once a sibling pair disagrees, the first
-    2^q completions are the numbers below 2^q, so a remaining rank of at
-    most q bits is the rest of the mask as it stands.
+    at b or b - 1 and the walk starts there.  Otherwise it starts at the
+    lowest rung of ``_level_ladder`` whose count G(p) exceeds ``r`` (the
+    top rung when none does): G(p) <= r is the walk's own test for a 1 bit
+    at p under a zero prefix, so no 1 bit lies at that rung or above it,
+    and the walk runs at most one stride of zeros before the top 1 bit.
+    Once a sibling pair disagrees, the first 2^q completions are the
+    numbers below 2^q, so a remaining rank of at most q bits is the rest
+    of the mask as it stands.
     """
     q = _popcount_budget(level, n)
     b = r.bit_length()
@@ -112,8 +161,8 @@ def _unrank_in_level(level: int, n: int, r: int) -> int:
         t, c, th, ch = 1 << p, 1, 1 << (p >> 1), 1
         pend = None if p % 2 else 0
     else:
-        p = (1 << level) - 1
-        _, t, c, th, ch = _level_start(level, n)
+        counts, rungs = _level_ladder(level, n)
+        p, t, c, th, ch = rungs[min(bisect_right(counts, r), len(rungs) - 1)]
         pend = None
     mask = 0
     while True:

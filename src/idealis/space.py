@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Callable, Iterable, Sequence
 
@@ -165,10 +166,33 @@ def _reducible(level: int, mask: int) -> bool:
     return mask & even == mask >> 1 & even
 
 
+@lru_cache(maxsize=1 << 8)
+def _spread_masks(level: int, lift: int) -> tuple[int, ...]:
+    """Masks for moving bit i of a level-`level` mask to bit i * 2^lift.
+
+    Entry j keeps the groups of 2^j source bits at their spread places:
+    ones at [g 2^j s, g 2^j s + 2^j) for every g < 2^(level - j), with
+    s = 2^lift.  Entry `level` is all ones over the 2^level source bits.
+    """
+    s = 1 << lift
+    out = []
+    for j in range(level + 1):
+        width = 1 << j
+        period = width * s
+        # ones at the start of every period: the base-2^period repunit
+        starts = ((1 << (period << (level - j))) - 1) // ((1 << period) - 1)
+        out.append(((1 << width) - 1) * starts)
+    return tuple(out)
+
+
 def _reduce_once(level: int, mask: int) -> tuple[int, int]:
-    bits = format(mask, f"0{1 << level}b")[::-1]
-    kept = bits[0::2]
-    return level - 1, int(kept[::-1], 2) if kept else 0
+    # keep the even-numbered bit of each pair of children: bit 2i goes
+    # to bit i, undoing the spread of a level - 1 mask by one level
+    masks = _spread_masks(level - 1, 1)
+    mask &= masks[0]
+    for j in range(level - 1):
+        mask = (mask | mask >> (1 << j)) & masks[j + 1]
+    return level - 1, mask
 
 
 @dataclass(frozen=True)
@@ -246,9 +270,15 @@ class Clopen:
             raise ValueError("cannot lift to a shallower level")
         if level == self.level:
             return self.mask
-        stretch = 1 << (level - self.level)
-        bits = format(self.mask, f"0{1 << self.level}b")
-        return int("".join(ch * stretch for ch in bits), 2)
+        # spread bit i to bit i * 2^lift, halving the groups of bits
+        # moved each round, then fill each word's block of 2^lift children
+        lift = level - self.level
+        masks = _spread_masks(self.level, lift)
+        gap = (1 << lift) - 1
+        mask = self.mask
+        for j in range(self.level - 1, -1, -1):
+            mask = (mask | mask << (gap << j)) & masks[j]
+        return mask * ((1 << (1 << lift)) - 1)
 
     # -- boolean algebra -------------------------------------------------
 

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from idealis.checks import brute_witnesses
 from idealis.domination import (
     KsigmaParam,
     LaverParam,
@@ -120,24 +119,6 @@ class TestLaver:
             seqs += list(itertools.product(range(1), repeat=length))
         p = laver_encode({s: 1 for s in seqs})
         assert laver_witnesses(p, (0,) * 8, 0, 8) == 8
-
-    def test_matches_brute_force(self):
-        rng = random.Random(23)
-        universe = [()]
-        for length in range(1, 6):
-            universe += list(itertools.product(range(4), repeat=length))
-        for _ in range(25):
-            phi = {
-                s: rng.randrange(4)
-                for s in rng.sample(universe, rng.randint(0, 40))
-            }
-            p = laver_encode(phi)
-            for f in itertools.product(range(4), repeat=6):
-                for n0 in range(3):
-                    for n1 in range(n0, 7):
-                        assert laver_witnesses(p, f, n0, n1) == brute_witnesses(
-                            phi, f, n0, n1
-                        )
 
     def test_additive_over_adjacent_windows(self):
         p = laver_encode({(0,): 3, (0, 2): 1})

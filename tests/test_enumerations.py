@@ -11,6 +11,7 @@ from idealis.enumerations import (
     BaireCylinder,
     _binomial_prefix,
     _level_count,
+    _level_ladder,
     _level_start,
     _popcount_budget,
     _rank_in_level,
@@ -87,7 +88,7 @@ class TestClopenEnum:
                 assert clopen_rank(n, clopen_enum(n, k)) == k
 
     def test_cold_unrank_fills_no_tsum_entries(self):
-        for memo in (_tsum, _level_start, clopen_enum):
+        for memo in (_tsum, _level_start, _level_ladder, clopen_enum):
             memo.cache_clear()
         first = 1 + sum(_level_count(level, 1) for level in range(1, 12))
         c = clopen_enum(1, first + _level_count(12, 1) // 3, cap=12)
@@ -229,6 +230,24 @@ class TestLevelWalks:
                     want = rank_by_every_position(level, n, mask)
                     assert _rank_in_level(level, n, mask) == want
                     assert _unrank_in_level(level, n, want) == mask
+
+    def test_ranks_at_every_rung_boundary(self):
+        # G(p) <= r is the walk's own test for a 1 bit at rung p, so the
+        # ranks next to G(p) start at adjacent rungs or end just below one
+        shallow = [(level, n) for level in range(1, 11) for n in range(level)]
+        deep = [(11, 5), (11, 8), (12, 7), (12, 10)]
+        for level, n in shallow + deep:
+            counts, rungs = _level_ladder(level, n)
+            assert len(rungs) <= 64 and len(counts) == len(rungs)
+            assert rungs[-1][0] == (1 << level) - 1
+            assert list(counts) == sorted(counts)
+            count = _level_count(level, n)
+            for g in counts:
+                for r in (g - 1, g, g + 1):
+                    if 0 <= r < count:
+                        mask = _unrank_in_level(level, n, r)
+                        assert rank_by_every_position(level, n, mask) == r
+                        assert _rank_in_level(level, n, mask) == r
 
     def test_every_cylinder_round_trips(self):
         for level in range(1, 10):

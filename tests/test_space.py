@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from idealis.errors import InsufficientPrefix
 from idealis.space import (
     Clopen,
+    _reduce_once,
     _reducible,
     Dyadic,
     Tri,
@@ -155,6 +156,71 @@ class TestAlgebra:
         c = Clopen.from_words(3, ["010", "110"])
         assert Clopen.from_json(c.to_json()) == c
         assert c.to_json() == {"level": 3, "words": ["010", "110"]}
+
+
+def lift_by_strings(level, mask, to):
+    """The string lift that bit spreading replaced: each bit repeated
+    2^(to - level) times."""
+    stretch = 1 << (to - level)
+    return int("".join(ch * stretch for ch in format(mask, f"0{1 << level}b")), 2)
+
+
+def reduce_by_strings(level, mask):
+    """The string reduction that integer compaction replaced: keep the
+    even-numbered bit of each pair."""
+    kept = format(mask, f"0{1 << level}b")[::-1][0::2]
+    return level - 1, int(kept[::-1], 2) if kept else 0
+
+
+def canonical_by_strings(level, mask):
+    while level > 0:
+        bits = format(mask, f"0{1 << level}b")[::-1]
+        if bits[0::2] != bits[1::2]:
+            break
+        level, mask = reduce_by_strings(level, mask)
+    return level, mask
+
+
+def random_at_level(rng, level):
+    """A canonical set of exactly this level, bits drawn by rng."""
+    while True:
+        c = Clopen.from_mask(level, rng.getrandbits(1 << level))
+        if c.level == level:
+            return c
+
+
+class TestLift:
+    def test_mask_at_matches_string_lift(self):
+        rng = random.Random(12)
+        for lv in range(13):
+            sets = [Clopen.empty(), Clopen.full()] + [random_at_level(rng, lv) for _ in range(3)]
+            for level in range(lv, 13):
+                for c in sets:
+                    if c.level <= level:
+                        assert c.mask_at(level) == lift_by_strings(c.level, c.mask, level)
+
+    def test_algebra_matches_string_lift(self):
+        rng = random.Random(13)
+        for lv in range(13):
+            for level in range(lv, 13):
+                a, b = random_at_level(rng, lv), random_at_level(rng, level)
+                if rng.randrange(2):
+                    a, b = b, a
+                top = max(a.level, b.level)
+                ma = lift_by_strings(a.level, a.mask, top)
+                mb = lift_by_strings(b.level, b.mask, top)
+                u, i = a.union(b), a.intersect(b)
+                assert (u.level, u.mask) == canonical_by_strings(top, ma | mb)
+                assert (i.level, i.mask) == canonical_by_strings(top, ma & mb)
+                assert a.subset(b) == (ma & ~mb == 0)
+                assert a.meets(b) == (ma & mb != 0)
+
+    def test_reduce_once_matches_string_reduction(self):
+        rng = random.Random(14)
+        for level in range(1, 13):
+            top = (1 << (1 << level)) - 1
+            for mask in [0, top] + [rng.getrandbits(1 << level) for _ in range(20)]:
+                assert _reduce_once(level, mask) == reduce_by_strings(level, mask)
 
 
 def _clopens(data):
