@@ -58,10 +58,18 @@ class MalformedInput(Exception):
 
 
 def _arg_json(value: str):
-    if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(value)
+    try:
+        if value.startswith("@"):
+            with open(value[1:], "r", encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(value)
+    except RecursionError:
+        # the decoder recurses once per level of nesting
+        raise MalformedInput("JSON argument nested too deeply") from None
+
+
+def _malformed(message: str) -> dict:
+    return {"error": "MalformedInput", "detail": {"message": message}}
 
 
 def emit(doc) -> None:
@@ -464,16 +472,22 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     try:
         doc = args.handler(args)
+        code = 1 if args.command == "check" and not doc["pass"] else 0
     except IdealisError as e:
-        emit({"error": e.name, "detail": e.detail()})
-        return 2
-    except (MalformedInput, json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as e:
-        emit({"error": "MalformedInput", "detail": {"message": str(e)}})
+        doc, code = {"error": e.name, "detail": e.detail()}, 2
+    except (
+        MalformedInput, json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, OSError
+    ) as e:
+        doc, code = _malformed(str(e)), 1
+    try:
+        emit(doc)
+    except ValueError:
+        # json renders an integer through str(), which refuses more than
+        # sys.get_int_max_str_digits() digits
+        limit = sys.get_int_max_str_digits()
+        emit(_malformed(f"answer holds an integer of more than {limit} digits"))
         return 1
-    emit(doc)
-    if args.command == "check" and not doc["pass"]:
-        return 1
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

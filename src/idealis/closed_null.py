@@ -14,8 +14,8 @@ evaluator the meager sections use too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from math import comb
 
@@ -24,6 +24,7 @@ from .space import (
     BitWord,
     Clopen,
     Tri,
+    _prefix_union,
     _require_level,
     fsigma_member,
     matrix_entry,
@@ -70,32 +71,37 @@ class ETripleParam:
         )
 
 
+def _e_terms(p: ETripleParam, cap: int) -> Callable[[int], Clopen]:
+    # the term at each position n < p.positions, under the level cap `cap`
+    def term(n: int) -> Clopen:
+        m = p.x0[n] + n
+        lvl = max(p.x1[n], m)
+        _require_level(lvl, cap)
+        size = (1 << lvl) - (1 << (lvl - m)) if m else 0
+        if size == 0:
+            return Clopen.empty()
+        index = p.x2[n] % comb(1 << lvl, size)
+        mask = 0
+        for w in kcomb_unrank(1 << lvl, size, index, cap):
+            mask |= 1 << w
+        return Clopen.from_mask(lvl, mask)
+
+    return term
+
+
 def e_term(p: ETripleParam, n: int) -> Clopen:
     """Union of 2^L - 2^(L-m) level-L cylinders, m = x0(n) + n."""
     if n >= p.positions:
         raise InsufficientPrefix(n + 1)
-    m = p.x0[n] + n
-    lvl = max(p.x1[n], m)
-    cap = max_level()
-    _require_level(lvl, cap)
-    size = (1 << lvl) - (1 << (lvl - m)) if m else 0
-    if size == 0:
-        return Clopen.empty()
-    index = p.x2[n] % comb(1 << lvl, size)
-    mask = 0
-    for w in kcomb_unrank(1 << lvl, size, index, cap):
-        mask |= 1 << w
-    return Clopen.from_mask(lvl, mask)
+    return _e_terms(p, max_level())(n)
 
 
 def e_open_stage(p: ETripleParam, n_max: int) -> Clopen:
     """Union of the first n_max + 1 terms; measure at least 1 - 2^-n_max."""
     if n_max >= p.positions:
         raise InsufficientPrefix(n_max + 1)
-    out = Clopen.empty()
-    for n in range(n_max + 1):
-        out = out.union(e_term(p, n))
-    return out
+    cap = max_level()
+    return _prefix_union({}, None, n_max, lambda: _e_terms(p, cap))
 
 
 def _cylinders_inside(v: Clopen, level: int) -> list[int]:
@@ -153,11 +159,16 @@ def e_open_encode(v: Clopen, m_max: int) -> ETripleParam:
 
 @dataclass(frozen=True)
 class EParam:
-    """Rows of triple parameters packed into one prefix."""
+    """Rows of triple parameters packed into one prefix.
+
+    ``_unions`` memoizes each row's stage unions, keyed by (row, level
+    cap); it takes no part in equality, hashing, ``repr`` or JSON.
+    """
 
     prefix: tuple
     rows: int
     horizon: int
+    _unions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def row(self, r: int) -> ETripleParam:
         """Row r, read as the packed triple it stores: coordinate i at
@@ -203,9 +214,15 @@ def e_fsigma_member(p: EParam, z: BitWord, rows: int, n_max: int) -> Tri:
     whole horizon; FAILS when `z` sits inside every row's union already
     at `n_max`.  Raising `n_max` within the horizon only resolves
     UNKNOWN.
+
+    A row's cells are read up to the horizon before its first term is
+    built, and its stage unions are kept in the parameter's memo.
     """
     if n_max > p.horizon:
         raise InsufficientPrefix(n_max, what="stage horizon")
-    return fsigma_member(
-        z, rows, n_max, p.horizon, lambda r, n: e_open_stage(p.row(r), n)
-    )
+    cap = max_level()
+
+    def stage_union(r: int, n: int) -> Clopen:
+        return _prefix_union(p._unions, (r, cap), n, lambda: _e_terms(p.row(r), cap))
+
+    return fsigma_member(z, rows, n_max, p.horizon, stage_union)

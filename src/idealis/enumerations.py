@@ -327,24 +327,25 @@ def _cantor_cylinder_word(idx: int) -> str:
     return index_word(idx - ((1 << level) - 2), level)
 
 
-def basic_word_cantor(n: int) -> str:
+def basic_word_cantor(n: int, cap: int | None = None) -> str:
     """The word whose cylinder is basic open set n >= 1 of Cantor space;
-    LevelCapExceeded when the word is longer than the level cap."""
+    LevelCapExceeded when the word is longer than the level cap (default:
+    the current ``max_level()``)."""
     if n < 1:
         raise IndexOutOfRange("only nonempty basic open sets have a word")
     word = _cantor_cylinder_word(n - 2)
-    _require_level(len(word))
+    _require_level(len(word), cap)
     return word
 
 
-def basic_open_cantor(n: int) -> Clopen:
+def basic_open_cantor(n: int, cap: int | None = None) -> Clopen:
     """Basic open sets of Cantor space: empty, full, then cylinders in
-    (level, lex) order."""
+    (level, lex) order, under the same cap as ``basic_word_cantor``."""
     if n < 0:
         raise IndexOutOfRange("basic open index must be a natural")
     if n == 0:
         return Clopen.empty()
-    return Clopen.cylinder(basic_word_cantor(n))
+    return Clopen.cylinder(basic_word_cantor(n, cap))
 
 
 def basic_open_baire(n: int) -> BaireCylinder:

@@ -14,11 +14,21 @@ here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from .errors import InsufficientPrefix, NotDense
-from .space import BairePrefix, BitWord, Clopen, Tri, fsigma_member, matrix_entry, pack_rows
+from .space import (
+    BairePrefix,
+    BitWord,
+    Clopen,
+    Tri,
+    _prefix_union,
+    fsigma_member,
+    matrix_entry,
+    max_level,
+    pack_rows,
+)
 from .enumerations import basic_open_cantor, basic_word_cantor, kprime
 
 
@@ -92,14 +102,21 @@ class DenseOpenParam:
         return DenseOpenParam(tuple(int(v) for v in doc["prefix"]))
 
 
+def _dense_terms(x: DenseOpenParam, cap: int) -> Callable[[int], Clopen]:
+    # term n >= 1 is the selected basic subset of basic open set n; there
+    # is no basic open set 0 to select in, so stage 0 is empty
+    def term(n: int) -> Clopen:
+        return basic_open_cantor(kprime(n, x.prefix[n]), cap) if n else Clopen.empty()
+
+    return term
+
+
 def dense_section_stage(x: DenseOpenParam, n_max: int) -> Clopen:
     """Union of the selected nonempty basic subsets for 1 <= n <= n_max."""
     if len(x.prefix) <= n_max:
         raise InsufficientPrefix(n_max + 1)
-    out = Clopen.empty()
-    for n in range(1, n_max + 1):
-        out = out.union(basic_open_cantor(kprime(n, x.prefix[n])))
-    return out
+    cap = max_level()
+    return _prefix_union({}, None, n_max, lambda: _dense_terms(x, cap))
 
 
 def dense_open_encode(w: Clopen, n_max: int) -> DenseOpenParam:
@@ -132,11 +149,15 @@ class MeagerParam:
     ``horizon`` is the stage depth the rows carry data for; evaluation
     never reads past it, so negative certificates issued against the
     horizon survive every admissible stage refinement.
+
+    ``_unions`` memoizes each row's stage unions, keyed by (row, level
+    cap); it takes no part in equality, hashing, ``repr`` or JSON.
     """
 
     prefix: tuple
     rows: int
     horizon: int
+    _unions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def row(self, r: int, n_max: int) -> DenseOpenParam:
         return DenseOpenParam(tuple(matrix_entry(self.prefix, r, n) for n in range(n_max + 1)))
@@ -168,9 +189,17 @@ def meager_eval(p: MeagerParam, z: BitWord, rows: int, n_max: int) -> Tri:
     horizon -- a certificate no later stage can revoke.  FAILS when `z`
     sits inside every row's union already at `n_max`.  Raising `n_max`
     within the horizon only ever resolves UNKNOWN.
+
+    A row's cells are read up to the horizon before its first term is
+    built, and its stage unions are kept in the parameter's memo.
     """
     if n_max > p.horizon:
         raise InsufficientPrefix(n_max, what="stage horizon")
-    return fsigma_member(
-        z, rows, n_max, p.horizon, lambda r, n: dense_section_stage(p.row(r, n), n)
-    )
+    cap = max_level()
+
+    def stage_union(r: int, n: int) -> Clopen:
+        return _prefix_union(
+            p._unions, (r, cap), n, lambda: _dense_terms(p.row(r, p.horizon), cap)
+        )
+
+    return fsigma_member(z, rows, n_max, p.horizon, stage_union)

@@ -255,8 +255,17 @@ class Clopen:
         return self.level == 0 and self.mask == 1
 
     def words(self) -> list[BitWord]:
-        n = 1 << self.level
-        return [index_word(i, self.level) for i in range(n) if self.mask >> i & 1]
+        if self.level == 0:
+            return [""] * self.mask
+        # bit i of the mask is character i of the reversed binary string,
+        # so `find` steps from one 1 bit to the next
+        bits, fmt = format(self.mask, "b")[::-1], f"0{self.level}b"
+        out = []
+        i = bits.find("1")
+        while i >= 0:
+            out.append(format(i, fmt))
+            i = bits.find("1", i + 1)
+        return out
 
     def word_count(self) -> int:
         return self.mask.bit_count()
@@ -407,6 +416,34 @@ def matrix_entry(f: Sequence[int], n: int, k: int, *, zero_past_end: bool = Fals
             return 0
         raise InsufficientPrefix(idx + 1)
     return f[idx]
+
+
+def _prefix_union(
+    memo: dict, key, stage: int, open_row: Callable[[], Callable[[int], Clopen]]
+) -> Clopen:
+    """Union of a row's terms 0..stage, memoized in `memo[key]`.
+
+    An entry is the tuple of the row's unions at stages 0..k.  A stage
+    past k calls `open_row` first, which reads every cell of the row and
+    returns its term function, and only then builds terms k+1..stage; so
+    a missing cell is reported before any term can fail.  The extended
+    tuple is stored as a new tuple once every term is built: a term that
+    raises stores nothing, and asking again raises the same error.  A
+    negative stage is the union of no terms.
+    """
+    if stage < 0:
+        return Clopen.empty()
+    unions = memo.get(key, ())
+    if stage < len(unions):
+        return unions[stage]
+    term = open_row()
+    union = unions[-1] if unions else Clopen.empty()
+    grown = list(unions)
+    for n in range(len(unions), stage + 1):
+        union = union.union(term(n))
+        grown.append(union)
+    memo[key] = tuple(grown)
+    return union
 
 
 def fsigma_member(

@@ -232,3 +232,30 @@ def test_argv_past_a_work_bound_is_refused_at_once(argv, error):
         assert code == 0 and "error" not in doc
     else:
         assert code == 2 and doc["error"] == error
+
+
+NINES = "9" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["null", "eval", "--param", "@DEEP", "--z", "0", "--n", "0"],
+        ["null", "eval", "--param", "[" * 5000, "--z", "0", "--n", "0"],
+        ["space", "pair", "--m", NINES, "--n", "1"],
+        ["space", "seq", "--encode", f"[{NINES[:2500]}]"],
+        ["laver", "encode", "--phi", '[{"seq":[1e309],"val":1}]'],
+    ],
+    ids=["deep-json-file", "deep-json-inline", "pair-past-digit-limit", "seq-past-digit-limit", "float-overflow"],
+)
+def test_hostile_argv_ends_in_one_malformed_input_document(argv, tmp_path):
+    # a too-deeply nested JSON argument, an answer past the int-to-str digit
+    # limit, and a float too large for int() each used to end in a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000)
+    argv = [f"@{deep}" if a == "@DEEP" else a for a in argv]
+    start = time.perf_counter()
+    code, out = run_cli(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out)["error"] == "MalformedInput"

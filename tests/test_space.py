@@ -70,6 +70,23 @@ class TestCanonicalize:
         words = [format(i, "03b") for i in range(8)]
         assert canonicalize(3, words) == Clopen.full()
 
+    def test_words_list_every_set_bit_in_order(self):
+        # oracle: test each of the 2^level positions of the mask
+        rng = random.Random(61)
+        for level in range(13):
+            top = (1 << (1 << level)) - 1
+            sparse = 0
+            for _ in range(3):
+                sparse |= 1 << rng.randrange(1 << level)
+            for mask in (rng.randint(0, top), sparse, top ^ sparse):
+                c = Clopen.from_mask(level, mask)
+                want = [
+                    format(i, f"0{c.level}b") if c.level else ""
+                    for i in range(1 << c.level)
+                    if c.mask >> i & 1
+                ]
+                assert c.words() == want
+
     def test_rejects_non_canonical_direct_construction(self):
         with pytest.raises(ValueError):
             Clopen(1, 0b11)
