@@ -1,54 +1,30 @@
 """Command-line entry point.
 
-One subcommand per module, JSON in and JSON out: arguments accept inline
-JSON or @path to read a file, output is a single JSON document with
-sorted keys, and parameter files carry the coding convention tag so they
-refuse to load under a different convention.  Exit codes: 0 success,
-1 malformed input, 2 contract errors (the machine-readable error object
-names the violated contract).
+One subcommand per construction, each declared once in ``COMMANDS``: its
+help text, its handler and, per op, its flags as argparse keywords.
+``build_parser`` is one loop over that table.  A handler imports its
+construction module when it runs, so loading the CLI loads only
+``space`` and ``errors``.
+
+JSON in and JSON out: arguments accept inline JSON or @path to read a
+file, output is a single JSON document with sorted keys, and parameter
+files carry the coding convention tag so they refuse to load under a
+different convention.  Exit codes: 0 success, 1 malformed input, 2
+contract errors (the machine-readable error object names the violated
+contract).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
 
 from . import __version__
 from .errors import CodingMismatch, IdealisError
 from .space import CODING, Clopen, Dyadic, canonicalize, pair, seq_code, seq_decode, unpair
-from .enumerations import basic_open, clopen_enum, kcomb_rank, kcomb_unrank, kprime
-from .countable import CountableParam, countable_encode, countable_member
-from .meager import (
-    MeagerParam,
-    fxp_eval,
-    meager_encode,
-    meager_eval,
-    partition_from,
-)
-from .nullset import CoverFamily, NullParam, null_encode, null_member, null_stage, null_term
-from .closed_null import EParam, ETripleParam, e_fsigma_member, e_open_encode, e_open_stage, e_term
-from .domination import (
-    KsigmaParam,
-    LaverParam,
-    dominated_from,
-    ksigma_diagonal,
-    ksigma_encode,
-    laver_encode,
-    laver_witnesses,
-)
-from .fubini import (
-    DensityProxy,
-    ProductParam,
-    ProductPoint,
-    SomewhereDenseProxy,
-    flagged_bits,
-    product_encode,
-    product_member,
-    section_diagnostic,
-)
-from .checks import run_suite
 
 CREATED_BY = f"idealis {__version__}"
 
@@ -80,6 +56,20 @@ def param_file(ideal: str, payload: dict) -> dict:
     return {"ideal": ideal, "coding": CODING, "created-by": CREATED_BY, **payload}
 
 
+# ideal tag -> (module, class) of the parameter it loads as
+_PARAM_CLASSES = {
+    "countable": ("countable", "CountableParam"),
+    "meager": ("meager", "MeagerParam"),
+    "null": ("nullset", "NullParam"),
+    "e-open": ("closed_null", "ETripleParam"),
+    "e": ("closed_null", "EParam"),
+    "ksigma": ("domination", "KsigmaParam"),
+    "laver": ("domination", "LaverParam"),
+    "fubini-nm": ("fubini", "ProductParam"),
+    "fubini-mn": ("fubini", "ProductParam"),
+}
+
+
 def load_param(doc: dict, expected_ideal):
     if not isinstance(doc, dict) or "ideal" not in doc:
         raise MalformedInput("parameter file must be an object with an 'ideal' tag")
@@ -91,18 +81,8 @@ def load_param(doc: dict, expected_ideal):
         expected_ideal = (expected_ideal,)
     if ideal not in expected_ideal:
         raise MalformedInput(f"expected a parameter for {expected_ideal}, got {ideal!r}")
-    loaders = {
-        "countable": CountableParam.from_json,
-        "meager": MeagerParam.from_json,
-        "null": NullParam.from_json,
-        "e-open": ETripleParam.from_json,
-        "e": EParam.from_json,
-        "ksigma": KsigmaParam.from_json,
-        "laver": LaverParam.from_json,
-        "fubini-nm": ProductParam.from_json,
-        "fubini-mn": ProductParam.from_json,
-    }
-    return loaders[ideal](doc)
+    module, cls = _PARAM_CLASSES[ideal]
+    return getattr(importlib.import_module(f".{module}", __package__), cls).from_json(doc)
 
 
 def _baire(values) -> tuple:
@@ -129,42 +109,43 @@ def cmd_space(args) -> dict:
             m, n = unpair(args.invert)
             return {"m": m, "n": n}
         return {"value": pair(args.m, args.n)}
-    if args.op == "seq":
-        if args.decode is not None:
-            return {"seq": list(seq_decode(args.decode))}
-        return {"code": seq_code(_baire(_arg_json(args.encode)))}
-    raise MalformedInput(args.op)
+    if args.decode is not None:
+        return {"seq": list(seq_decode(args.decode))}
+    if args.encode is None:
+        raise MalformedInput("space seq needs --encode or --decode")
+    return {"code": seq_code(_baire(_arg_json(args.encode)))}
 
 
 def cmd_enum(args) -> dict:
+    from .enumerations import basic_open, clopen_enum, kcomb_rank, kcomb_unrank, kprime
+
     if args.op == "clopen":
         return clopen_enum(args.n, args.k).to_json()
     if args.op == "basic":
-        got = basic_open(args.space, args.k)
-        return got.to_json()
+        return basic_open(args.space, args.k).to_json()
     if args.op == "kprime":
         return {"value": kprime(args.n, args.m, args.space)}
-    if args.op == "kcomb":
-        if args.rank is not None:
-            return {"rank": kcomb_rank(args.N, _arg_json(args.rank))}
-        return {"subset": list(kcomb_unrank(args.N, args.t, args.r))}
-    raise MalformedInput(args.op)
+    if args.rank is not None:
+        return {"rank": kcomb_rank(args.N, _arg_json(args.rank))}
+    return {"subset": list(kcomb_unrank(args.N, args.t, args.r))}
 
 
 def cmd_countable(args) -> dict:
+    from .countable import countable_encode, countable_member
+
     if args.op == "encode":
         points = [_baire(p) for p in _arg_json(args.points)]
         param = countable_encode(points, args.depth)
         return param_file("countable", param.to_json())
-    if args.op == "eval":
-        param = load_param(_arg_json(args.param), "countable")
-        rows = param.rows if args.rows is None else args.rows
-        got = countable_member(param, _baire(_arg_json(args.x)), rows, args.depth)
-        return {"result": got.value}
-    raise MalformedInput(args.op)
+    param = load_param(_arg_json(args.param), "countable")
+    rows = param.rows if args.rows is None else args.rows
+    got = countable_member(param, _baire(_arg_json(args.x)), rows, args.depth)
+    return {"result": got.value}
 
 
 def cmd_meager(args) -> dict:
+    from .meager import fxp_eval, meager_encode, meager_eval, partition_from
+
     if args.op == "partition":
         return partition_from(_baire(_arg_json(args.y))).to_json()
     if args.op == "fxp":
@@ -178,15 +159,15 @@ def cmd_meager(args) -> dict:
     if args.op == "encode":
         dense = [Clopen.from_json(d) for d in _arg_json(args.dense_opens)]
         return param_file("meager", meager_encode(dense, args.n_max).to_json())
-    if args.op == "eval":
-        param = load_param(_arg_json(args.param), "meager")
-        rows = param.rows if args.rows is None else args.rows
-        got = meager_eval(param, _bits(args.z), rows, args.n_max)
-        return {"result": got.value}
-    raise MalformedInput(args.op)
+    param = load_param(_arg_json(args.param), "meager")
+    rows = param.rows if args.rows is None else args.rows
+    got = meager_eval(param, _bits(args.z), rows, args.n_max)
+    return {"result": got.value}
 
 
 def cmd_null(args) -> dict:
+    from .nullset import CoverFamily, null_encode, null_member, null_stage, null_term
+
     if args.op == "encode":
         family = CoverFamily.from_json(_arg_json(args.covers))
         return param_file("null", null_encode(family).to_json())
@@ -195,12 +176,14 @@ def cmd_null(args) -> dict:
         return {"result": null_member(param, _bits(args.z), args.n).value}
     if args.op == "stage":
         return null_stage(param, args.n, args.k).to_json()
-    if args.op == "term":
-        return null_term(param, args.n, args.k).to_json()
-    raise MalformedInput(args.op)
+    return null_term(param, args.n, args.k).to_json()
 
 
 def cmd_e(args) -> dict:
+    from .closed_null import (
+        EParam, ETripleParam, e_fsigma_member, e_open_encode, e_open_stage, e_term,
+    )
+
     if args.op == "encode":
         v = Clopen.from_json(_arg_json(args.clopen))
         return param_file("e-open", e_open_encode(v, args.m_max).to_json())
@@ -212,18 +195,17 @@ def cmd_e(args) -> dict:
         if args.op == "term":
             return e_term(param, args.n).to_json()
         return e_open_stage(param, args.n_max).to_json()
-    if args.op == "eval":
-        doc = _arg_json(args.param)
-        param = load_param(doc, ("e", "e-open"))
-        if isinstance(param, ETripleParam):
-            param = EParam.from_triples([param], param.positions - 1)
-        rows = param.rows if args.rows is None else args.rows
-        got = e_fsigma_member(param, _bits(args.z), rows, args.n_max)
-        return {"result": got.value}
-    raise MalformedInput(args.op)
+    param = load_param(_arg_json(args.param), ("e", "e-open"))
+    if isinstance(param, ETripleParam):
+        param = EParam.from_triples([param], param.positions - 1)
+    rows = param.rows if args.rows is None else args.rows
+    got = e_fsigma_member(param, _bits(args.z), rows, args.n_max)
+    return {"result": got.value}
 
 
 def cmd_ksigma(args) -> dict:
+    from .domination import dominated_from, ksigma_diagonal, ksigma_encode
+
     if args.op == "encode":
         points = [_baire(p) for p in _arg_json(args.points)]
         return param_file("ksigma", ksigma_encode(points).to_json())
@@ -231,26 +213,35 @@ def cmd_ksigma(args) -> dict:
     if args.op == "eval":
         got = dominated_from(param, _baire(_arg_json(args.x)), args.n)
         return {"dominated": got}
-    if args.op == "diagonal":
-        return {"diagonal": list(ksigma_diagonal(param))}
-    raise MalformedInput(args.op)
+    return {"diagonal": list(ksigma_diagonal(param))}
 
 
 def cmd_laver(args) -> dict:
+    from .domination import laver_encode, laver_witnesses
+
     if args.op == "encode":
         phi = {
             tuple(int(a) for a in item["seq"]): int(item["val"])
             for item in _arg_json(args.phi)
         }
         return param_file("laver", laver_encode(phi).to_json())
-    if args.op == "eval":
-        param = load_param(_arg_json(args.param), "laver")
-        got = laver_witnesses(param, _baire(_arg_json(args.f)), args.n0, args.n1)
-        return {"witnesses": got}
-    raise MalformedInput(args.op)
+    param = load_param(_arg_json(args.param), "laver")
+    got = laver_witnesses(param, _baire(_arg_json(args.f)), args.n0, args.n1)
+    return {"witnesses": got}
 
 
 def cmd_fubini(args) -> dict:
+    from .fubini import (
+        DensityProxy,
+        ProductPoint,
+        SomewhereDenseProxy,
+        flagged_bits,
+        product_encode,
+        product_member,
+        section_diagnostic,
+    )
+    from .nullset import CoverFamily
+
     if args.op == "encode":
         x_part = _arg_json(args.x_part)
         plane_part = _arg_json(args.plane_part)
@@ -283,184 +274,123 @@ def cmd_fubini(args) -> dict:
             meager_rows=args.meager_rows,
         )
         return {"result": got.value}
-    if args.op == "diagnose":
-        rows = [_bits(r) for r in _arg_json(args.rows)]
-        if args.proxy == "null":
-            proxy = DensityProxy(Dyadic.from_json(_arg_json(args.epsilon)))
-        else:
-            proxy = SomewhereDenseProxy(args.split)
-        flagged = section_diagnostic(rows, proxy)
-        d = len(rows).bit_length() - 1
-        return {"d": d, "flagged": flagged_bits(flagged, d), "proxy": proxy.to_json()}
-    raise MalformedInput(args.op)
+    rows = [_bits(r) for r in _arg_json(args.rows)]
+    if args.proxy == "null":
+        if args.epsilon is None:
+            raise MalformedInput("--proxy null needs --epsilon")
+        proxy = DensityProxy(Dyadic.from_json(_arg_json(args.epsilon)))
+    else:
+        proxy = SomewhereDenseProxy(args.split)
+    flagged = section_diagnostic(rows, proxy)
+    d = len(rows).bit_length() - 1
+    return {"d": d, "flagged": flagged_bits(flagged, d), "proxy": proxy.to_json()}
 
 
 def cmd_check(args) -> dict:
+    from .checks import run_suite
+
     return run_suite(args.suite, args.seed)
 
 
-# -- parser -------------------------------------------------------------------
+# -- command table ------------------------------------------------------------
+
+_REQ = {"required": True}
+_INT = {"type": int, "required": True}
+_ZERO = {"type": int, "default": 0}
+_SPACE = {"choices": ["cantor", "baire"], "default": "cantor"}
+
+#: command -> (help text, handler, {op: {flag: argparse keywords}}); the
+#: op None puts its flags on the command itself.
+COMMANDS = {
+    "space": ("cylinder algebra and codings", cmd_space, {
+        "measure": {"--clopen": _REQ},
+        "canon": {"--clopen": _REQ},
+        "pair": {"--m": _ZERO, "--n": _ZERO, "--invert": {"type": int}},
+        "seq": {"--encode": {}, "--decode": {"type": int}},
+    }),
+    "enum": ("canonical enumerations", cmd_enum, {
+        "clopen": {"--n": _INT, "--k": _INT},
+        "basic": {"--space": _SPACE, "--k": _INT},
+        "kprime": {"--n": _INT, "--m": _INT, "--space": _SPACE},
+        "kcomb": {
+            "--N": _INT, "--t": _ZERO, "--r": _ZERO,
+            "--rank": {"help": "subset to rank instead of unranking"},
+        },
+    }),
+    "countable": ("countable-set sections", cmd_countable, {
+        "encode": {"--points": _REQ, "--depth": _INT},
+        "eval": {"--param": _REQ, "--x": _REQ, "--rows": {"type": int}, "--depth": _INT},
+    }),
+    "meager": ("dense-open and meager sections", cmd_meager, {
+        "encode": {"--dense-opens": _REQ, "--n-max": _INT},
+        "eval": {"--param": _REQ, "--z": _REQ, "--rows": {"type": int}, "--n-max": _INT},
+        "fxp": {
+            "--x": _REQ, "--y": {"required": True, "help": "partition source prefix"},
+            "--z": _REQ, "--from-block": _ZERO,
+        },
+        "partition": {"--y": _REQ},
+    }),
+    "null": ("measure-zero sections", cmd_null, {
+        "encode": {"--covers": _REQ},
+        "eval": {"--param": _REQ, "--z": _REQ, "--n": _INT},
+        "stage": {"--param": _REQ, "--n": _INT, "--k": _INT},
+        "term": {"--param": _REQ, "--n": _INT, "--k": _INT},
+    }),
+    "e": ("closed-null-generated ideal sections", cmd_e, {
+        "encode": {"--clopen": _REQ, "--m-max": _INT},
+        "pack": {"--triples": _REQ, "--horizon": _INT},
+        "term": {"--param": _REQ, "--n": _INT},
+        "stage": {"--param": _REQ, "--n-max": _INT},
+        "eval": {"--param": _REQ, "--z": _REQ, "--rows": {"type": int}, "--n-max": _INT},
+    }),
+    "ksigma": ("eventual-domination sections", cmd_ksigma, {
+        "encode": {"--points": _REQ},
+        "eval": {"--param": _REQ, "--x": _REQ, "--n": _ZERO},
+        "diagonal": {"--param": _REQ},
+    }),
+    "laver": ("tree-labelling witness sections", cmd_laver, {
+        "encode": {"--phi": _REQ},
+        "eval": {"--param": _REQ, "--f": _REQ, "--n0": _ZERO, "--n1": _INT},
+    }),
+    "fubini": ("product sections and diagnostics", cmd_fubini, {
+        "encode": {
+            "--variant": {"choices": ["nm", "mn"], "required": True},
+            "--x-part": _REQ, "--plane-part": _REQ,
+        },
+        "eval": {
+            "--param": _REQ, "--y": _REQ, "--z": _REQ, "--null-levels": _INT,
+            "--meager-n-max": _INT, "--meager-rows": {"type": int},
+        },
+        "diagnose": {
+            "--rows": _REQ, "--proxy": {"choices": ["null", "nwd"], "required": True},
+            "--epsilon": {"help": "dyadic threshold for the null proxy"},
+            "--split": {"type": int, "default": 1},
+        },
+    }),
+    "check": ("seeded property suites", cmd_check, {
+        None: {"--suite": _REQ, "--seed": _ZERO},
+    }),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and reused by `main`."""
+    """The argument parser for ``COMMANDS``, built once per process and
+    reused by `main`."""
     top = argparse.ArgumentParser(
         prog="idealis",
         description="exact finite-stage toolkit for universal-set constructions",
     )
     top.add_argument("--version", action="version", version=CREATED_BY)
     sub = top.add_subparsers(dest="command", required=True)
-
-    space = sub.add_parser("space", help="cylinder algebra and codings")
-    ssub = space.add_subparsers(dest="op", required=True)
-    p = ssub.add_parser("measure")
-    p.add_argument("--clopen", required=True)
-    p = ssub.add_parser("canon")
-    p.add_argument("--clopen", required=True)
-    p = ssub.add_parser("pair")
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--invert", type=int)
-    p = ssub.add_parser("seq")
-    p.add_argument("--encode")
-    p.add_argument("--decode", type=int)
-    space.set_defaults(handler=cmd_space)
-
-    enum = sub.add_parser("enum", help="canonical enumerations")
-    esub = enum.add_subparsers(dest="op", required=True)
-    p = esub.add_parser("clopen")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p = esub.add_parser("basic")
-    p.add_argument("--space", choices=["cantor", "baire"], default="cantor")
-    p.add_argument("--k", type=int, required=True)
-    p = esub.add_parser("kprime")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--space", choices=["cantor", "baire"], default="cantor")
-    p = esub.add_parser("kcomb")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--rank", help="subset to rank instead of unranking")
-    enum.set_defaults(handler=cmd_enum)
-
-    countable = sub.add_parser("countable", help="countable-set sections")
-    csub = countable.add_subparsers(dest="op", required=True)
-    p = csub.add_parser("encode")
-    p.add_argument("--points", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p = csub.add_parser("eval")
-    p.add_argument("--param", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--depth", type=int, required=True)
-    countable.set_defaults(handler=cmd_countable)
-
-    meager = sub.add_parser("meager", help="dense-open and meager sections")
-    msub = meager.add_subparsers(dest="op", required=True)
-    p = msub.add_parser("encode")
-    p.add_argument("--dense-opens", dest="dense_opens", required=True)
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p = msub.add_parser("eval")
-    p.add_argument("--param", required=True)
-    p.add_argument("--z", required=True)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p = msub.add_parser("fxp")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True, help="partition source prefix")
-    p.add_argument("--z", required=True)
-    p.add_argument("--from-block", dest="from_block", type=int, default=0)
-    p = msub.add_parser("partition")
-    p.add_argument("--y", required=True)
-    meager.set_defaults(handler=cmd_meager)
-
-    null = sub.add_parser("null", help="measure-zero sections")
-    nsub = null.add_subparsers(dest="op", required=True)
-    p = nsub.add_parser("encode")
-    p.add_argument("--covers", required=True)
-    p = nsub.add_parser("eval")
-    p.add_argument("--param", required=True)
-    p.add_argument("--z", required=True)
-    p.add_argument("--n", type=int, required=True)
-    for name in ("stage", "term"):
-        p = nsub.add_parser(name)
-        p.add_argument("--param", required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-    null.set_defaults(handler=cmd_null)
-
-    e = sub.add_parser("e", help="closed-null-generated ideal sections")
-    esub2 = e.add_subparsers(dest="op", required=True)
-    p = esub2.add_parser("encode")
-    p.add_argument("--clopen", required=True)
-    p.add_argument("--m-max", dest="m_max", type=int, required=True)
-    p = esub2.add_parser("pack")
-    p.add_argument("--triples", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p = esub2.add_parser("term")
-    p.add_argument("--param", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p = esub2.add_parser("stage")
-    p.add_argument("--param", required=True)
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    p = esub2.add_parser("eval")
-    p.add_argument("--param", required=True)
-    p.add_argument("--z", required=True)
-    p.add_argument("--rows", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int, required=True)
-    e.set_defaults(handler=cmd_e)
-
-    ksigma = sub.add_parser("ksigma", help="eventual-domination sections")
-    ksub = ksigma.add_subparsers(dest="op", required=True)
-    p = ksub.add_parser("encode")
-    p.add_argument("--points", required=True)
-    p = ksub.add_parser("eval")
-    p.add_argument("--param", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--n", type=int, default=0)
-    p = ksub.add_parser("diagonal")
-    p.add_argument("--param", required=True)
-    ksigma.set_defaults(handler=cmd_ksigma)
-
-    laver = sub.add_parser("laver", help="tree-labelling witness sections")
-    lsub = laver.add_subparsers(dest="op", required=True)
-    p = lsub.add_parser("encode")
-    p.add_argument("--phi", required=True)
-    p = lsub.add_parser("eval")
-    p.add_argument("--param", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--n0", type=int, default=0)
-    p.add_argument("--n1", type=int, required=True)
-    laver.set_defaults(handler=cmd_laver)
-
-    fubini = sub.add_parser("fubini", help="product sections and diagnostics")
-    fsub = fubini.add_subparsers(dest="op", required=True)
-    p = fsub.add_parser("encode")
-    p.add_argument("--variant", choices=["nm", "mn"], required=True)
-    p.add_argument("--x-part", dest="x_part", required=True)
-    p.add_argument("--plane-part", dest="plane_part", required=True)
-    p = fsub.add_parser("eval")
-    p.add_argument("--param", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--z", required=True)
-    p.add_argument("--null-levels", dest="null_levels", type=int, required=True)
-    p.add_argument("--meager-n-max", dest="meager_n_max", type=int, required=True)
-    p.add_argument("--meager-rows", dest="meager_rows", type=int)
-    p = fsub.add_parser("diagnose")
-    p.add_argument("--rows", required=True)
-    p.add_argument("--proxy", choices=["null", "nwd"], required=True)
-    p.add_argument("--epsilon", help="dyadic threshold for the null proxy")
-    p.add_argument("--split", type=int, default=1)
-    fubini.set_defaults(handler=cmd_fubini)
-
-    check = sub.add_parser("check", help="seeded property suites")
-    check.add_argument("--suite", required=True)
-    check.add_argument("--seed", type=int, default=0)
-    check.set_defaults(handler=cmd_check)
-
+    for command, (help_text, _, ops) in COMMANDS.items():
+        parser = sub.add_parser(command, help=help_text)
+        if None not in ops:
+            op_parsers = parser.add_subparsers(dest="op", required=True)
+        for op, flags in ops.items():
+            target = parser if op is None else op_parsers.add_parser(op)
+            for flag, keywords in flags.items():
+                target.add_argument(flag, **keywords)
     return top
 
 
@@ -471,7 +401,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        doc = args.handler(args)
+        doc = COMMANDS[args.command][1](args)
         code = 1 if args.command == "check" and not doc["pass"] else 0
     except IdealisError as e:
         doc, code = {"error": e.name, "detail": e.detail()}, 2

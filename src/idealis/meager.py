@@ -125,15 +125,16 @@ def dense_open_encode(w: Clopen, n_max: int) -> DenseOpenParam:
     For each basic open set the least basic subset lying inside `w` is
     selected; NotDense reports the first basic set `w` misses.  Both tests
     read one bit or one block of `w`'s mask at the basic set's word, so no
-    cylinder is built or lifted.
+    cylinder is built or lifted.  The level cap is read once per call.
     """
+    cap = max_level()
     for n in range(1, n_max + 1):
-        if not w.meets_cylinder(basic_word_cantor(n)):
+        if not w.meets_cylinder(basic_word_cantor(n, cap)):
             raise NotDense(n)
     choices = [0]
     for n in range(1, n_max + 1):
         m = 0
-        while not w.covers_cylinder(basic_word_cantor(kprime(n, m))):
+        while not w.covers_cylinder(basic_word_cantor(kprime(n, m), cap)):
             m += 1
         choices.append(m)
     return DenseOpenParam(tuple(choices))

@@ -115,6 +115,7 @@ def build_cases():
         "e_term": ["e", "term", "--param", e_param, "--n", "1"],
         "e_stage": ["e", "stage", "--param", e_param, "--n-max", "2"],
         "e_eval": ["e", "eval", "--param", e_param, "--z", "000", "--n-max", "2"],
+        "e_pack": ["e", "pack", "--triples", f"[{e_param}]", "--horizon", "2"],
         "ksigma_encode": ["ksigma", "encode", "--points", "[[1,2,3,4],[4,3,2,1]]"],
         "ksigma_eval": [
             "ksigma", "eval", "--param", ksigma_param, "--x", "[1,1,1,1]", "--n", "0",

@@ -1,18 +1,22 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 
 import pytest
 
-from idealis.cli import build_parser, main
+from idealis.cli import COMMANDS, build_parser, main
 from idealis.closed_null import EParam, e_fsigma_member, e_open_encode
 from idealis.meager import dense_open_encode, meager_encode, meager_eval
 from idealis.nullset import CoverFamily, null_encode, null_member
 from idealis.space import Clopen, Tri, fsigma_member, max_level
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 GOLDEN_CASES = sorted(p for p in GOLDEN_DIR.glob("*.json"))
 
 
@@ -39,11 +43,52 @@ def test_parser_reused_after_rejected_argv():
 
 
 def test_goldens_cover_every_subcommand():
-    commands = {json.loads(p.read_text())["argv"][0] for p in GOLDEN_CASES}
-    assert commands >= {
-        "space", "enum", "countable", "meager", "null", "e",
-        "ksigma", "laver", "fubini", "check",
-    }
+    # every (command, op) of the table; check has no op
+    covered = set()
+    for path in GOLDEN_CASES:
+        command, *rest = json.loads(path.read_text())["argv"]
+        covered.add((command, None if None in COMMANDS[command][2] else rest[0]))
+    assert covered == {(c, op) for c, (_, _, ops) in COMMANDS.items() for op in ops}
+
+
+CONSTRUCTIONS = (
+    "enumerations", "countable", "meager", "nullset", "closed_null", "domination", "fubini",
+)
+
+
+def loaded_modules(code):
+    # the idealis modules a fresh interpreter holds after running `code`
+    script = "\n".join([code, "import json, sys", "print(json.dumps([*sys.modules]))"])
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return {m for m in json.loads(out.splitlines()[-1]) if m.startswith("idealis")}
+
+
+def test_importing_the_cli_loads_no_construction_module():
+    loaded = loaded_modules("import idealis.cli")
+    assert not loaded & {f"idealis.{m}" for m in (*CONSTRUCTIONS, "checks")}
+
+
+def test_null_eval_loads_only_what_it_uses():
+    argv = json.loads((GOLDEN_DIR / "null_eval.json").read_text())["argv"]
+    loaded = loaded_modules(f"from idealis.cli import main; main({argv!r})")
+    assert "idealis.nullset" in loaded
+    assert not loaded & {"idealis.fubini", "idealis.checks"}
+
+
+def test_package_re_exports_resolve_to_their_submodule():
+    import importlib
+
+    import idealis
+
+    assert sorted(dir(idealis)) == sorted(idealis.__all__)
+    for name in idealis.__all__:
+        module = importlib.import_module(f"idealis.{idealis._MODULE_OF[name]}")
+        assert getattr(idealis, name) is getattr(module, name)
+    with pytest.raises(AttributeError):
+        idealis.no_such_name
 
 
 def test_output_is_byte_stable_json(tmp_path):
@@ -245,12 +290,18 @@ NINES = "9" * 3000
         ["space", "pair", "--m", NINES, "--n", "1"],
         ["space", "seq", "--encode", f"[{NINES[:2500]}]"],
         ["laver", "encode", "--phi", '[{"seq":[1e309],"val":1}]'],
+        ["space", "seq"],
+        ["fubini", "diagnose", "--rows", '["1100","0000"]', "--proxy", "null"],
     ],
-    ids=["deep-json-file", "deep-json-inline", "pair-past-digit-limit", "seq-past-digit-limit", "float-overflow"],
+    ids=[
+        "deep-json-file", "deep-json-inline", "pair-past-digit-limit", "seq-past-digit-limit",
+        "float-overflow", "seq-without-encode-or-decode", "null-proxy-without-epsilon",
+    ],
 )
 def test_hostile_argv_ends_in_one_malformed_input_document(argv, tmp_path):
     # a too-deeply nested JSON argument, an answer past the int-to-str digit
-    # limit, and a float too large for int() each used to end in a traceback
+    # limit, a float too large for int() and a missing optional JSON flag
+    # each used to end in a traceback
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 5000)
     argv = [f"@{deep}" if a == "@DEEP" else a for a in argv]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from idealis import enumerations, meager, space
 from idealis.checks import brute_fxp
 from idealis.errors import InsufficientPrefix, NotDense
 from idealis.meager import (
@@ -112,6 +113,24 @@ class TestDenseOpen:
         with pytest.raises(NotDense) as e:
             dense_open_encode(Clopen.from_words(1, ["0"]), 4)
         assert e.value.n == 3  # the basic set [1]
+
+    def test_encode_reads_the_level_cap_once_per_dense_open(self, monkeypatch):
+        rng = random.Random(12)
+        dense = [
+            Clopen.cylinder(format(rng.getrandbits(6), "06b")).complement() for _ in range(5)
+        ]
+        expected = meager_encode(dense, 40)
+        reads = []
+
+        def counting_max_level():
+            reads.append(1)
+            return space.DEFAULT_MAX_LEVEL
+
+        # every module that holds the name, so that no read goes uncounted
+        for module in (space, enumerations, meager):
+            monkeypatch.setattr(module, "max_level", counting_max_level)
+        assert meager_encode(dense, 40) == expected
+        assert 0 < len(reads) <= len(dense)
 
     def test_insufficient_prefix(self):
         with pytest.raises(InsufficientPrefix):
