@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "space": (
-        "BairePrefix", "BitWord", "Clopen", "CODING", "Dyadic", "Tri", "canonicalize",
-        "fsigma_member", "matrix_entry", "max_level", "pack_rows", "pair", "seq_code",
-        "seq_decode", "tri_or", "unpair",
+        "BairePrefix", "BitWord", "Clopen", "CODING", "Tri", "canonicalize", "fsigma_member",
+        "matrix_entry", "max_level", "pack_rows", "pair", "seq_code", "seq_decode", "tri_or",
+        "unpair",
     ),
     "enumerations": (
         "BaireCylinder", "basic_open", "clopen_enum", "clopen_rank", "kcomb_rank",

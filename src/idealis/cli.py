@@ -24,7 +24,7 @@ import sys
 
 from . import __version__
 from .errors import CodingMismatch, IdealisError
-from .space import CODING, Clopen, Dyadic, canonicalize, pair, seq_code, seq_decode, unpair
+from .space import CODING, Clopen, canonicalize, pair, seq_code, seq_decode, unpair
 
 CREATED_BY = f"idealis {__version__}"
 
@@ -100,7 +100,8 @@ def _bits(word: str) -> str:
 
 def cmd_space(args) -> dict:
     if args.op == "measure":
-        return Clopen.from_json(_arg_json(args.clopen)).measure().to_json()
+        m = Clopen.from_json(_arg_json(args.clopen)).measure()
+        return {"num": m.numerator, "exp": m.denominator.bit_length() - 1}
     if args.op == "canon":
         doc = _arg_json(args.clopen)
         return canonicalize(int(doc["level"]), doc["words"]).to_json()
@@ -278,7 +279,8 @@ def cmd_fubini(args) -> dict:
     if args.proxy == "null":
         if args.epsilon is None:
             raise MalformedInput("--proxy null needs --epsilon")
-        proxy = DensityProxy(Dyadic.from_json(_arg_json(args.epsilon)))
+        eps = _arg_json(args.epsilon)
+        proxy = DensityProxy(int(eps["num"]), int(eps["exp"]))
     else:
         proxy = SomewhereDenseProxy(args.split)
     flagged = section_diagnostic(rows, proxy)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import LengthMismatch, LevelCapExceeded
-from .space import BitWord, Dyadic, Tri, tri_or
+from .space import BitWord, Tri, tri_or
 from .meager import MeagerParam, meager_encode, meager_eval
 from .nullset import NullParam, null_encode, null_member
 
@@ -136,21 +136,38 @@ def quantifier_depth(shape) -> int:
 
 @dataclass(frozen=True)
 class DensityProxy:
-    """Flag sections whose density reaches the threshold.
+    """Flag sections whose density reaches the threshold num / 2^exp.
 
     Stands in for smallness in measure at one finite resolution; the
-    output is a diagnostic, not membership in the true ideal.
+    output is a diagnostic, not membership in the true ideal.  The
+    threshold is kept in lowest terms (num odd, or exp 0).
     """
 
-    threshold: Dyadic
+    num: int
+    exp: int
+
+    def __post_init__(self):
+        if self.num < 0 or self.exp < 0:
+            raise ValueError("dyadic parts must be non-negative")
+        # strip the factors of two num and 2^exp share: num's trailing
+        # zeros, or all of exp when num is 0
+        shift = min((self.num & -self.num).bit_length() - 1, self.exp) if self.num else self.exp
+        object.__setattr__(self, "num", self.num >> shift)
+        object.__setattr__(self, "exp", self.exp - shift)
 
     def flags(self, row: int, d: int) -> bool:
-        return Dyadic(row.bit_count(), d) >= self.threshold
+        # count / 2^d >= num / 2^exp, times 2^max(d, exp).  Shifted by b =
+        # num's bit length or more, count exceeds num when it is nonzero
+        # and is 0 otherwise, so a longer shift is cut to b
+        count, shift = row.bit_count(), self.exp - d
+        if shift < 0:
+            return count >= self.num << -shift
+        return count << min(shift, self.num.bit_length()) >= self.num
 
     def to_json(self) -> dict:
         return {
             "kind": "null",
-            "epsilon": self.threshold.to_json(),
+            "epsilon": {"num": self.num, "exp": self.exp},
             "note": "finite-stage proxy, not the true ideal",
         }
 

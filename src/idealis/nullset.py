@@ -10,7 +10,10 @@ never fires on it.
 
 Each parameter memoizes its guarded scans, one per (row, level cap): the
 guarded terms scanned so far with the accepted total after the last, and
-the stage union and accepted total at each bound asked for.  `null_term`,
+the stage union and accepted total at each bound asked for.  A total is
+exact and kept as plain ints, a pair (words, e) standing for words / 2^e:
+the count of level-e cylinders, where e starts at the row index and
+deepens with the row's terms.  `null_term`,
 `null_stage` and `null_member` all read from it and extend it on demand,
 so each cell of a row is enumerated once per parameter and cap, and a
 lowered cap never meets a scan made under another.  An extension is
@@ -27,10 +30,11 @@ covered point evaluate as a member.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import InsufficientPrefix, InvariantViolated, LevelCapExceeded
-from .space import BitWord, Clopen, Dyadic, Tri, check_word, matrix_entry, max_level, pack_rows
+from .space import BitWord, Clopen, Tri, check_word, matrix_entry, max_level, pack_rows
 from .enumerations import clopen_enum, clopen_rank
 
 # Empty slots placed before each cover row during flattening.  Four is
@@ -47,12 +51,11 @@ class CoverFamily:
 
     def __post_init__(self):
         for n, pieces in enumerate(self.covers):
-            total = Dyadic.zero()
-            for c in pieces:
-                total = total + c.measure()
-            if not total < Dyadic.half_power(n + 1):
+            total = sum((c.measure() for c in pieces), Fraction(0))
+            if not total < Fraction(1, 2 << n):
+                exp = total.denominator.bit_length() - 1
                 raise InvariantViolated(
-                    f"cover {n} has total measure {total.num}/2^{total.exp},"
+                    f"cover {n} has total measure {total.numerator}/2^{exp},"
                     f" not below 2^-{n + 1}"
                 )
 
@@ -98,6 +101,16 @@ class NullParam:
         )
 
 
+def _add_words(total: tuple[int, int], c: Clopen) -> tuple[int, int]:
+    """The (words, e) total plus the measure of `c`, counted at the deeper
+    of e and c's level."""
+    words, e = total
+    if c.level > e:
+        words <<= c.level - e
+        e = c.level
+    return words + (c.mask.bit_count() << (e - c.level)), e
+
+
 def _row_scan(f: NullParam, n: int, k_hi: int, cap: int):
     """Row n's memo entry under `cap`, scanned at least to k = k_hi.
 
@@ -112,14 +125,14 @@ def _row_scan(f: NullParam, n: int, k_hi: int, cap: int):
     entry = f._scans.get(key)
     if entry is not None and len(entry[0]) >= k_hi - n:
         return entry
-    terms, total, stages = entry or ((), Dyadic.zero(), {})
+    terms, total, stages = entry or ((), (0, n), {})
     terms = list(terms)
-    budget = Dyadic.half_power(n)
     try:
         for k in range(n + 1 + len(terms), k_hi + 1):
             cand = clopen_enum(n, matrix_entry(f.prefix, n, k), cap=cap)
-            grown = total + cand.measure()
-            if grown < budget:
+            words, e = grown = _add_words(total, cand)
+            # the budget 2^-n is 2^(e - n) words at level e
+            if words < 1 << (e - n):
                 terms.append(cand)
                 total = grown
             else:
@@ -135,16 +148,16 @@ def _row_scan(f: NullParam, n: int, k_hi: int, cap: int):
     return entry
 
 
-def _stage(f: NullParam, n: int, k_hi: int, cap: int) -> tuple[Clopen, Dyadic]:
+def _stage(f: NullParam, n: int, k_hi: int, cap: int) -> tuple[Clopen, tuple[int, int]]:
     """Union and accepted total of row n's guarded terms up to k_hi."""
     terms, total, stages = _row_scan(f, n, k_hi, cap)
     if k_hi in stages:
         return stages[k_hi]
     start = max((j for j in stages if j < k_hi), default=n)
-    union, accepted = stages[start] if start > n else (Clopen.empty(), Dyadic.zero())
+    union, accepted = stages[start] if start > n else (Clopen.empty(), (0, n))
     for term in terms[start - n : k_hi - n]:
         union = union.union(term)
-        accepted = accepted + term.measure()
+        accepted = _add_words(accepted, term)
     f._scans[(n, cap)] = (terms, total, {**stages, k_hi: (union, accepted)})
     return union, accepted
 
@@ -192,14 +205,12 @@ def null_member(f: NullParam, z: BitWord, n_levels: int) -> Tri:
     if all(stage.covers_cylinder(z) for stage, _ in scans):
         return Tri.HOLDS
     for n in range(n_levels + 1):
-        stage, total = scans[n]
+        stage, (words, e) = scans[n]
         if stage.meets_cylinder(z):
             continue
         # (2^-n - total) * 2^e <= 2^-len(z) * 2^e, with the right side
         # rounded down: the left is a natural, so rounding changes nothing
-        e = max(n, total.exp)
-        remaining = (1 << (e - n)) - (total.num << (e - total.exp))
-        if remaining <= (1 << e) >> len(z):
+        if (1 << (e - n)) - words <= (1 << e) >> len(z):
             return Tri.FAILS
     return Tri.UNKNOWN
 
@@ -224,17 +235,17 @@ def _flatten(family: CoverFamily):
 
 
 def _cut_points(flat: Sequence[Clopen], depth: int) -> list[int]:
-    suffix = [Dyadic.zero()] * (len(flat) + 1)
+    suffix = [Fraction(0)] * (len(flat) + 1)
     for i in range(len(flat) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + flat[i].measure()
 
-    def tail(k: int) -> Dyadic:
-        return suffix[k + 1] if k + 1 <= len(flat) else Dyadic.zero()
+    def tail(k: int) -> Fraction:
+        return suffix[k + 1] if k + 1 <= len(flat) else Fraction(0)
 
     cuts = [0]
     for m in range(1, depth + 1):
         k = cuts[-1] + 1
-        while not tail(k) < Dyadic.half_power(m):
+        while not tail(k) < Fraction(1, 1 << m):
             k += 1
         cuts.append(k + 1)
     return cuts

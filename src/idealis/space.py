@@ -1,13 +1,15 @@
-"""Cylinder algebra on Cantor space with exact dyadic measure, plus the
-coding bijections, the matrix coding of parameters and the F_sigma
-evaluator shared by the constructions in this package.
+"""Cylinder algebra on Cantor space, plus the coding bijections, the
+matrix coding of parameters and the F_sigma evaluator shared by the
+constructions in this package.
 
 Finite data stands in for infinite objects throughout: a 0/1 word denotes
 the cylinder of all sequences extending it, a tuple of naturals is the
 prefix of an element of Baire space, and a clopen set is a finite union of
 same-level cylinders kept in canonical least-level form so that equality,
-hashing and enumeration order are deterministic.  All values are immutable
-and every operation is pure, so sharing across threads is unrestricted.
+hashing and enumeration order are deterministic.  A clopen set's measure
+is exact: the ``Fraction`` of its word count over 2^level, which is in
+lowest terms like every ``Fraction``.  All values are immutable and every
+operation is pure, so sharing across threads is unrestricted.
 """
 
 from __future__ import annotations
@@ -65,78 +67,6 @@ def tri_or(a: Tri, b: Tri) -> Tri:
     if a is Tri.FAILS and b is Tri.FAILS:
         return Tri.FAILS
     return Tri.UNKNOWN
-
-
-@dataclass(frozen=True)
-class Dyadic:
-    """Non-negative rational num / 2**exp kept in lowest terms."""
-
-    num: int
-    exp: int
-
-    def __post_init__(self):
-        if self.num < 0 or self.exp < 0:
-            raise ValueError("dyadic parts must be non-negative")
-        num, exp = self.num, self.exp
-        if num == 0:
-            exp = 0
-        else:
-            while num % 2 == 0 and exp > 0:
-                num //= 2
-                exp -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-
-    @staticmethod
-    def zero() -> "Dyadic":
-        return Dyadic(0, 0)
-
-    @staticmethod
-    def one() -> "Dyadic":
-        return Dyadic(1, 0)
-
-    @staticmethod
-    def half_power(n: int) -> "Dyadic":
-        """The value 2**-n."""
-        return Dyadic(1, n)
-
-    def _common(self, other: "Dyadic"):
-        e = max(self.exp, other.exp)
-        return self.num << (e - self.exp), other.num << (e - other.exp), e
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        a, b, e = self._common(other)
-        return Dyadic(a + b, e)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        a, b, e = self._common(other)
-        if a < b:
-            raise ValueError("dyadic subtraction went negative")
-        return Dyadic(a - b, e)
-
-    def __lt__(self, other: "Dyadic") -> bool:
-        a, b, _ = self._common(other)
-        return a < b
-
-    def __le__(self, other: "Dyadic") -> bool:
-        a, b, _ = self._common(other)
-        return a <= b
-
-    def __gt__(self, other: "Dyadic") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Dyadic") -> bool:
-        return other <= self
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
-
-    def to_json(self) -> dict:
-        return {"num": self.num, "exp": self.exp}
-
-    @staticmethod
-    def from_json(doc: dict) -> "Dyadic":
-        return Dyadic(int(doc["num"]), int(doc["exp"]))
 
 
 def word_index(word: BitWord) -> int:
@@ -270,8 +200,8 @@ class Clopen:
     def word_count(self) -> int:
         return self.mask.bit_count()
 
-    def measure(self) -> Dyadic:
-        return Dyadic(self.mask.bit_count(), self.level)
+    def measure(self) -> Fraction:
+        return Fraction(self.mask.bit_count(), 1 << self.level)
 
     def mask_at(self, level: int) -> int:
         """The word mask of this set lifted to a deeper level."""

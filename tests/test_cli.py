@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -148,7 +149,66 @@ def test_check_all_passes():
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True
-    assert all(p["failures"] == 0 for p in report["properties"])
+    assert all(p["failures"] == 0 and p["cases"] > 0 for p in report["properties"])
+
+
+def test_a_property_with_no_cases_fails_its_suite(monkeypatch):
+    from idealis import checks
+
+    monkeypatch.setitem(checks.SUITES, "hollow", lambda seed: [checks._prop("nothing", 0, 0)])
+    assert checks.run_suite("hollow", 0)["pass"] is False
+    code, out = run_cli(["check", "--suite", "hollow"])
+    assert code == 1 and json.loads(out)["pass"] is False
+
+
+def test_space_measure_is_in_lowest_terms():
+    # all 16 sets at level 2; canonicalizing may lower the level
+    for mask in range(16):
+        words = [format(i, "02b") for i in range(4) if mask >> i & 1]
+        clopen = json.dumps({"level": 2, "words": words})
+        code, out = run_cli(["space", "measure", "--clopen", clopen])
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["num"] % 2 == 1 or doc["exp"] == 0
+        assert Fraction(doc["num"], 1 << doc["exp"]) == Fraction(len(words), 4)
+
+
+DIAGNOSE_ROWS = '["1100","0000","1111","1000"]'
+
+
+def diagnose_null(epsilon):
+    return run_cli(
+        ["fubini", "diagnose", "--rows", DIAGNOSE_ROWS, "--proxy", "null", "--epsilon", epsilon]
+    )
+
+
+@pytest.mark.parametrize(
+    "epsilon,echo",
+    [('{"num":2,"exp":3}', {"exp": 2, "num": 1}), ('{"num":0,"exp":5}', {"exp": 0, "num": 0})],
+)
+def test_diagnose_echoes_epsilon_in_lowest_terms(epsilon, echo):
+    code, out = diagnose_null(epsilon)
+    assert code == 0
+    assert json.loads(out)["proxy"]["epsilon"] == echo
+
+
+def test_diagnose_epsilon_exponent_costs_neither_time_nor_memory():
+    # 2^(10^12) would take about 125 GB; any nonzero row reaches a
+    # threshold below 2^-64 anyway
+    start = time.perf_counter()
+    code, out = diagnose_null(f'{{"num":1,"exp":{10**12}}}')
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(out)["flagged"] == json.loads(diagnose_null('{"num":1,"exp":64}')[1])["flagged"]
+
+
+@pytest.mark.parametrize("epsilon", ['{"num":-1,"exp":2}', '{"num":1,"exp":-2}'])
+def test_diagnose_negative_epsilon_is_malformed(epsilon):
+    code, out = diagnose_null(epsilon)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "MalformedInput", "detail": {"message": "dyadic parts must be non-negative"},
+    }
 
 
 def test_check_deterministic_under_seed():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -13,7 +14,7 @@ from idealis.closed_null import (
     e_term,
 )
 from idealis.errors import InsufficientPrefix, InsufficientResolution
-from idealis.space import Clopen, Dyadic, Tri, pair
+from idealis.space import Clopen, Tri, pair
 
 
 class TestTerm:
@@ -21,7 +22,7 @@ class TestTerm:
         # x0(1)=0, x1(1)=1, x2(1)=0 at n=1: one level-1 cylinder, measure 1/2
         p = ETripleParam((0, 0), (0, 1), (0, 0))
         assert e_term(p, 1) == Clopen.from_words(1, ["0"])
-        assert e_term(p, 1).measure() == Dyadic(1, 1)
+        assert e_term(p, 1).measure() == Fraction(1, 2)
 
     def test_degenerate_size_zero(self):
         p = ETripleParam((0,), (0,), (0,))
@@ -34,14 +35,14 @@ class TestTerm:
             p = random_triple(rng, n + 1)
             m = p.x0[n] + n
             assert e_term(p, n).measure() == (
-                Dyadic.one() - Dyadic.half_power(m) if m else Dyadic.zero()
+                1 - Fraction(1, 1 << m) if m else 0
             )
 
     def test_level_lift_keeps_measure(self):
         # requested level 1 is too shallow for m = 3
         p = ETripleParam((3,), (1,), (123456,))
         t = e_term(p, 0)
-        assert t.measure() == Dyadic(7, 3)
+        assert t.measure() == Fraction(7, 8)
 
     def test_cardinality_law(self):
         rng = random.Random(19)
@@ -70,7 +71,7 @@ class TestStage:
             n_max = rng.randrange(1, 8)
             p = random_triple(rng, n_max + 1)
             stage = e_open_stage(p, n_max)
-            assert stage.measure() >= Dyadic.one() - Dyadic.half_power(n_max)
+            assert stage.measure() >= 1 - Fraction(1, 1 << n_max)
 
     def test_monotone(self):
         rng = random.Random(29)
@@ -95,11 +96,11 @@ class TestEncode:
 
     def test_complement_of_deep_cylinder(self):
         v = Clopen.cylinder("00000").complement()
-        assert v.measure() == Dyadic(31, 5)
+        assert v.measure() == Fraction(31, 32)
         p = e_open_encode(v, 4)
         stage = e_open_stage(p, 4)
         assert stage.subset(v)
-        assert stage.measure() >= Dyadic.one() - Dyadic.half_power(4)
+        assert stage.measure() >= 1 - Fraction(1, 16)
 
     def test_too_small_target(self):
         with pytest.raises(InsufficientResolution) as e:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -27,7 +28,7 @@ from idealis.enumerations import (
     kprime,
     lex_word,
 )
-from idealis.space import Clopen, Dyadic, index_word, seq_decode
+from idealis.space import Clopen, index_word, seq_decode
 
 
 def random_canonical(rng, level, n, ones=None):
@@ -74,7 +75,7 @@ class TestClopenEnum:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_measure_always_below_bound(self, n):
-        bound = Dyadic.half_power(n)
+        bound = Fraction(1, 1 << n)
         for k in range(0, 400):
             assert clopen_enum(n, k).measure() < bound
 

@@ -19,7 +19,7 @@ from idealis.fubini import (
     section_diagnostic,
 )
 from idealis.nullset import CoverFamily
-from idealis.space import Clopen, Dyadic, Tri, tri_or
+from idealis.space import Clopen, Tri, tri_or
 
 
 def nm_param():
@@ -127,12 +127,12 @@ class TestDiagnostic:
     def test_full_square_all_flagged(self):
         d = 3
         rows = ["1" * (1 << d)] * (1 << d)
-        flagged = section_diagnostic(rows, DensityProxy(Dyadic(1, 1)))
+        flagged = section_diagnostic(rows, DensityProxy(1, 1))
         assert flagged == (1 << (1 << d)) - 1
 
     def test_empty_square_unflagged(self):
         rows = ["0" * 8] * 8
-        assert section_diagnostic(rows, DensityProxy(Dyadic(1, 1))) == 0
+        assert section_diagnostic(rows, DensityProxy(1, 1)) == 0
         assert section_diagnostic(rows, SomewhereDenseProxy(1)) == 0
 
     def test_diagonal_sections_are_thin(self):
@@ -142,11 +142,11 @@ class TestDiagnostic:
             row = ["0"] * (1 << d)
             row[i] = "1"
             rows.append("".join(row))
-        assert section_diagnostic(rows, DensityProxy(Dyadic(1, 1))) == 0
+        assert section_diagnostic(rows, DensityProxy(1, 1)) == 0
 
     def test_density_threshold_is_exact(self):
         rows = ["1100", "1110", "0000", "1111"]
-        flagged = section_diagnostic(rows, DensityProxy(Dyadic(3, 2)))
+        flagged = section_diagnostic(rows, DensityProxy(3, 2))
         assert flagged_bits(flagged, 2) == "0101"
 
     def test_somewhere_dense_proxy(self):
@@ -157,6 +157,6 @@ class TestDiagnostic:
 
     def test_row_validation(self):
         with pytest.raises(LengthMismatch):
-            section_diagnostic(["10", "01", "11"], DensityProxy(Dyadic(1, 1)))
+            section_diagnostic(["10", "01", "11"], DensityProxy(1, 1))
         with pytest.raises(LengthMismatch):
-            section_diagnostic(["10", "0"], DensityProxy(Dyadic(1, 1)))
+            section_diagnostic(["10", "0"], DensityProxy(1, 1))

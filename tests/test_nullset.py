@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from idealis.nullset import (
     null_stage,
     null_term,
 )
-from idealis.space import Clopen, Dyadic, Tri, pair
+from idealis.space import Clopen, Tri, pair
 
 
 def family_covering_zero(rng, depth):
@@ -59,7 +60,7 @@ class TestGuard:
         f = NullParam(tuple(prefix), (4, 4))
         assert null_term(f, 1, 2) == big
         assert null_term(f, 1, 3) == Clopen.empty()
-        assert null_stage(f, 1, 4).measure() == Dyadic(3, 3)
+        assert null_stage(f, 1, 4).measure() == Fraction(3, 8)
 
     def test_stage_monotone_in_k(self):
         rng = random.Random(5)
@@ -83,6 +84,12 @@ class TestEncoder:
     def test_family_invariant_checked(self):
         with pytest.raises(InvariantViolated):
             CoverFamily(((Clopen.from_words(1, ["0"]),),))  # 1/2 not < 1/2
+
+    def test_over_budget_cover_reports_its_measure_in_lowest_terms(self):
+        # 1/4 + 1/4 is reported as 1/2^1, not 2/2^2
+        pieces = (Clopen.cylinder("00"), Clopen.cylinder("01"))
+        with pytest.raises(InvariantViolated, match=r"cover 0 has total measure 1/2\^1,"):
+            CoverFamily((pieces,))
 
     def test_empty_family(self):
         enc = null_encode_detail(CoverFamily(()))
@@ -316,6 +323,19 @@ class TestScanMemo:
             assert [ask(f, q) for q in queries] == before
             assert NullParam.from_json(f.to_json()) == f
             assert hash(NullParam.from_json(f.to_json())) == hash(f)
+
+    def test_a_huge_cap_costs_nothing_cap_sized(self, monkeypatch):
+        # accepted totals count words at the deepest level a row reached,
+        # not at the cap, so a cap of 10^9 builds no 10^9-bit integer
+        (f,) = guarded_params(61, 1)
+        queries = [("stage", n, 16) for n in range(6)]
+        queries += [("member", z, 5) for z in ("0110", "000000", "1" * 40)]
+        monkeypatch.setenv("IDEALIS_MAX_LEVEL", "12")
+        before = [ask(f, q) for q in queries]
+        monkeypatch.setenv("IDEALIS_MAX_LEVEL", str(10**9))
+        start = time.perf_counter()
+        assert [ask(NullParam(f.prefix, f.witness), q) for q in queries] == before
+        assert time.perf_counter() - start < 1.0
 
     def test_shared_instance_across_threads(self):
         (f,) = guarded_params(53, 1)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,6 @@ from idealis.space import (
     Clopen,
     _reduce_once,
     _reducible,
-    Dyadic,
     Tri,
     canonicalize,
     matrix_entry,
@@ -26,33 +26,15 @@ def all_clopens(level):
     return [Clopen.from_mask(level, m) for m in range(1 << (1 << level))]
 
 
-class TestDyadic:
-    def test_lowest_terms(self):
-        assert Dyadic(4, 3) == Dyadic(1, 1)
-        assert Dyadic(0, 7) == Dyadic(0, 0)
-        assert Dyadic(6, 4) == Dyadic(3, 3)
-
-    def test_arithmetic(self):
-        assert Dyadic(1, 2) + Dyadic(1, 2) == Dyadic(1, 1)
-        assert Dyadic(1, 1) - Dyadic(1, 3) == Dyadic(3, 3)
-        assert Dyadic(1, 3) < Dyadic(1, 2) <= Dyadic(1, 2)
-        with pytest.raises(ValueError):
-            Dyadic(1, 3) - Dyadic(1, 2)
-
-    def test_json_round_trip(self):
-        d = Dyadic(5, 4)
-        assert Dyadic.from_json(d.to_json()) == d
-
-
 class TestMeasure:
     def test_full_space(self):
-        assert Clopen.full().measure() == Dyadic(1, 0)
+        assert Clopen.full().measure() == 1
 
     def test_single_cylinder(self):
-        assert Clopen.from_words(3, ["010"]).measure() == Dyadic(1, 3)
+        assert Clopen.from_words(3, ["010"]).measure() == Fraction(1, 8)
 
     def test_counting(self):
-        assert Clopen.from_words(2, ["00", "01", "10"]).measure() == Dyadic(3, 2)
+        assert Clopen.from_words(2, ["00", "01", "10"]).measure() == Fraction(3, 4)
 
 
 class TestCanonicalize:
@@ -99,7 +81,7 @@ class TestCanonicalize:
         c = canonicalize(level, words)
         again = canonicalize(c.level, c.words())
         assert again == c
-        assert c.measure() == Dyadic(bin(mask).count("1"), level)
+        assert c.measure() == Fraction(bin(mask).count("1"), 1 << level)
 
     def test_from_mask_rejects_masks_out_of_range(self):
         # only odd, out-of-range bits are set: one reduction step would
@@ -150,8 +132,8 @@ class TestAlgebra:
         # lambda(a u b) + lambda(a n b) == lambda(a) + lambda(b), exactly
         for a in all_clopens(2):
             for b in all_clopens(2):
-                lhs = a.union(b).measure().as_fraction() + a.intersect(b).measure().as_fraction()
-                rhs = a.measure().as_fraction() + b.measure().as_fraction()
+                lhs = a.union(b).measure() + a.intersect(b).measure()
+                rhs = a.measure() + b.measure()
                 assert lhs == rhs
 
     def test_measure_additivity_randomized_level6(self):
@@ -160,8 +142,8 @@ class TestAlgebra:
         for _ in range(200):
             a = Clopen.from_mask(6, rng.randint(0, top))
             b = Clopen.from_mask(6, rng.randint(0, top))
-            lhs = a.union(b).measure().as_fraction() + a.intersect(b).measure().as_fraction()
-            assert lhs == a.measure().as_fraction() + b.measure().as_fraction()
+            lhs = a.union(b).measure() + a.intersect(b).measure()
+            assert lhs == a.measure() + b.measure()
 
     def test_complement_involution_and_subset_law(self):
         for a in all_clopens(2):
