@@ -287,17 +287,16 @@ def suite_meager_density(seed, prefixes=40, encoders=12, entry_bound=40, every_s
             bad += 1
     props.append(_prop("encoder-subset-law", encoders, bad))
 
-    bad = 0
+    bad = cases = 0
     for _ in range(encoders):
         w1 = random_dense_clopen(rng, 6, 5)
         p = meager_encode([w1], 5)
         outside = w1.complement()
-        cases = 0
         for word in outside.words()[:4]:
             cases += 1
             if meager_eval(p, word, 1, 5) is not Tri.HOLDS:
                 bad += 1
-    props.append(_prop("complement-lands-in-meager-section", encoders, bad))
+    props.append(_prop("complement-lands-in-meager-section", cases, bad))
     return props
 
 

@@ -32,7 +32,7 @@ from .space import (
     pack_rows,
     pair,
 )
-from .enumerations import kcomb_rank, kcomb_unrank
+from .enumerations import kcomb_rank_mask, kcomb_unrank_mask
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,7 @@ def _e_terms(p: ETripleParam, cap: int) -> Callable[[int], Clopen]:
         if size == 0:
             return Clopen.empty()
         index = p.x2[n] % comb(1 << lvl, size)
-        mask = 0
-        for w in kcomb_unrank(1 << lvl, size, index, cap):
-            mask |= 1 << w
-        return Clopen.from_mask(lvl, mask)
+        return Clopen.from_mask(lvl, kcomb_unrank_mask(1 << lvl, size, index, cap))
 
     return term
 
@@ -104,19 +101,17 @@ def e_open_stage(p: ETripleParam, n_max: int) -> Clopen:
     return _prefix_union({}, None, n_max, lambda: _e_terms(p, cap))
 
 
-def _cylinders_inside(v: Clopen, level: int) -> list[int]:
-    if level >= v.level:
-        mask = v.mask_at(level)
-        return [i for i in range(1 << level) if mask >> i & 1]
-    # a shallow cylinder counts only when all its extensions are inside
-    step = 1 << (v.level - level)
-    full = (1 << step) - 1
-    mask = v.mask
-    out = []
-    for i in range(1 << level):
-        if (mask >> (i * step)) & full == full:
-            out.append(i)
-    return out
+def _lowest_ones(mask: int, k: int) -> int:
+    """The lowest k 1 bits of ``mask``, which has at least k."""
+    # bisect for the shortest run of low bits that holds k ones
+    lo, hi = 0, mask.bit_length()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() < k:
+            lo = mid + 1
+        else:
+            hi = mid
+    return mask & ((1 << lo) - 1)
 
 
 def e_open_encode(v: Clopen, m_max: int) -> ETripleParam:
@@ -127,21 +122,22 @@ def e_open_encode(v: Clopen, m_max: int) -> ETripleParam:
     lexicographically least family of qualifying cylinders is chosen at
     the lifted level.  A lifted level past the cap raises
     LevelCapExceeded, as ``e_term`` would on reading that position.
+
+    The cylinders inside v are read from ``Clopen.inside_masks``, one
+    chain of masks built once per call; a level deeper than v's is v's
+    mask lifted by ``mask_at``.  Counts are popcounts, and the chosen
+    family is the lowest 1 bits of the lifted level's mask.
     """
     cap = max_level()
+    inside = v.inside_masks()
+    counts = [mask.bit_count() for mask in inside]
     x0, x1, x2 = [], [], []
     for n in range(m_max + 1):
         chosen = None
-        for lvl in range(v.level + 1):
-            count = len(_cylinders_inside(v, lvl))
-            need = (1 << lvl) - (1 << (lvl - n)) if lvl >= n else None
-            if need is None:
-                # the bound is fractional below level n; only a full row
-                # of cylinders satisfies it
-                if count == 1 << lvl:
-                    chosen = lvl
-                    break
-            elif count >= need:
+        for lvl, count in enumerate(counts):
+            # the bound is fractional below level n; only a full row of
+            # cylinders satisfies it there
+            if count == 1 << lvl or (lvl >= n and count >= (1 << lvl) - (1 << (lvl - n))):
                 chosen = lvl
                 break
         if chosen is None:
@@ -149,11 +145,10 @@ def e_open_encode(v: Clopen, m_max: int) -> ETripleParam:
         lifted = max(chosen, n)
         _require_level(lifted, cap)
         size = (1 << lifted) - (1 << (lifted - n)) if n else 0
-        inside = _cylinders_inside(v, lifted)
-        subset = tuple(inside[:size])
+        mask = inside[lifted] if lifted <= v.level else v.mask_at(lifted)
         x0.append(0)
         x1.append(chosen)
-        x2.append(kcomb_rank(1 << lifted, subset, cap))
+        x2.append(kcomb_rank_mask(1 << lifted, _lowest_ones(mask, size)))
     return ETripleParam(tuple(x0), tuple(x1), tuple(x2))
 
 

@@ -15,7 +15,8 @@ stops as soon as the rest of the rank is the rest of the mask.
 Enumerated sets are memoized together with the level cap they were
 computed under.
 Basic open sets, the nonempty-basic-subset index, lexicographic words and
-combinadic subset (un)ranking live here as well.
+combinadic subset (un)ranking, on member masks with tuple wrappers, live
+here as well.
 """
 
 from __future__ import annotations
@@ -434,10 +435,17 @@ def _require_ground_set(n: int, cap: int | None) -> None:
     _require_level(max(n - 1, 0).bit_length(), cap)
 
 
-def kcomb_unrank(n: int, t: int, r: int, cap: int | None = None) -> tuple[int, ...]:
+def kcomb_unrank_mask(n: int, t: int, r: int, cap: int | None = None) -> int:
     """The r-th t-subset of {0..n-1}, ordering sorted tuples
-    lexicographically.  Exact for big-integer ranks.  An n past 2^cap
-    (default: the current ``max_level()``) raises LevelCapExceeded."""
+    lexicographically, as the mask with bit c set for each member c.
+    Exact for big-integer ranks.  An n past 2^cap (default: the current
+    ``max_level()``) raises LevelCapExceeded.
+
+    The walk takes the candidates c = 0, 1, ... in turn and stops at the
+    last member.  It records only the minority side: the members when
+    2t <= n, otherwise the candidates it skips, whose mask is XORed with
+    the candidates it passed at the end.
+    """
     if t < 0 or t > n:
         raise IndexOutOfRange(f"no {t}-subsets of a {n}-set")
     _require_ground_set(n, cap)
@@ -445,27 +453,61 @@ def kcomb_unrank(n: int, t: int, r: int, cap: int | None = None) -> tuple[int, .
     if not 0 <= r < total:
         raise IndexOutOfRange(f"rank {r} out of range {total}")
     if t == 0:
-        return ()
-    out = []
+        return 0
+    members = 2 * t <= n
+    side = 0
     rem = t
     c = 0
     # cur tracks C(n-1-c, rem-1), the count of subsets taking candidate c;
     # it is updated multiplicatively so each step costs one mul and one
     # exact division instead of a fresh binomial.
     cur = comb(n - 1, rem - 1)
-    while rem > 0:
+    while True:
         a = n - 1 - c
         if r < cur:
-            out.append(c)
+            if members:
+                side |= 1 << c
             rem -= 1
             if rem == 0:
                 break
             cur = cur * rem // a
         else:
+            if not members:
+                side |= 1 << c
             r -= cur
             cur = cur * (a - rem + 1) // a
         c += 1
-    return tuple(out)
+    return side if members else side ^ ((2 << c) - 1)
+
+
+def kcomb_rank_mask(n: int, mask: int) -> int:
+    """Inverse of kcomb_unrank_mask: the rank of the subset of {0..n-1}
+    whose members are the 1 bits of ``mask``, among the subsets of its
+    size."""
+    if mask < 0 or mask.bit_length() > n:
+        raise IndexOutOfRange("not a subset of {0..n-1}")
+    rem = mask.bit_count()
+    if rem == 0:
+        return 0
+    r = 0
+    cur = comb(n - 1, rem - 1)
+    for c, bit in enumerate(bin(mask)[:1:-1]):
+        a = n - 1 - c
+        if bit == "1":
+            rem -= 1
+            if rem == 0:
+                break
+            cur = cur * rem // a
+        else:
+            r += cur
+            cur = cur * (a - (rem - 1)) // a
+    return r
+
+
+def kcomb_unrank(n: int, t: int, r: int, cap: int | None = None) -> tuple[int, ...]:
+    """``kcomb_unrank_mask`` as the sorted tuple of members."""
+    mask = kcomb_unrank_mask(n, t, r, cap)
+    return tuple(c for c, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
 def kcomb_rank(n: int, subset, cap: int | None = None) -> int:
@@ -475,22 +517,7 @@ def kcomb_rank(n: int, subset, cap: int | None = None) -> int:
     if t > n or any(not 0 <= v < n for v in s) or len(set(s)) != t:
         raise IndexOutOfRange("not a subset of {0..n-1}")
     _require_ground_set(n, cap)
-    if t == 0:
-        return 0
-    r = 0
-    rem = t
-    cur = comb(n - 1, rem - 1)
-    want = iter(s)
-    nxt = next(want)
-    for c in range(n):
-        a = n - 1 - c
-        if c == nxt:
-            rem -= 1
-            if rem == 0:
-                break
-            nxt = next(want)
-            cur = cur * rem // a
-        else:
-            r += cur
-            cur = cur * (a - (rem - 1)) // a
-    return r
+    mask = 0
+    for v in s:
+        mask |= 1 << v
+    return kcomb_rank_mask(n, mask)

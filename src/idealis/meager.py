@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import InsufficientPrefix, NotDense
+from .errors import InsufficientPrefix, LevelCapExceeded, NotDense
 from .space import (
     BairePrefix,
     BitWord,
@@ -123,20 +123,43 @@ def dense_open_encode(w: Clopen, n_max: int) -> DenseOpenParam:
     """Parameter whose stage union sits inside the dense clopen `w`.
 
     For each basic open set the least basic subset lying inside `w` is
-    selected; NotDense reports the first basic set `w` misses.  Both tests
-    read one bit or one block of `w`'s mask at the basic set's word, so no
-    cylinder is built or lifted.  The level cap is read once per call.
+    selected; NotDense reports the first basic set `w` misses, read from
+    one bit or one block of `w`'s mask at the basic set's word.
+
+    The selection is read off ``w.inside_masks()``, the masks of the
+    cylinders inside `w` at each level, built once per call.  Basic set
+    n >= 1 is the cylinder of u, the binary digits of n after its leading
+    1, and ``kprime(n, m)`` lists u's extensions by depth d, then by lex
+    index i, at m = 2^d - 1 + i.  The extensions at depth d are the 2^d
+    bits of the level-(len(u) + d) mask from u's index shifted by d, so
+    the least m is the lowest 1 bit of the first nonzero such block: one
+    shift and one AND per depth, with no ``kprime`` call.  An
+    extension past the level cap raises LevelCapExceeded at length
+    cap + 1, the first candidate a search in m order would refuse.  The
+    cap is read once per call.
     """
     cap = max_level()
     for n in range(1, n_max + 1):
         if not w.meets_cylinder(basic_word_cantor(n, cap)):
             raise NotDense(n)
+    inside = w.inside_masks()
     choices = [0]
     for n in range(1, n_max + 1):
-        m = 0
-        while not w.covers_cylinder(basic_word_cantor(kprime(n, m), cap)):
-            m += 1
-        choices.append(m)
+        k = n.bit_length() - 1
+        if k >= w.level:
+            # one bit of w's mask decides meeting and covering alike
+            choices.append(0)
+            continue
+        at = n - (1 << k)
+        # w meets u's cylinder, so the block at w's own level is nonzero
+        d = 0
+        block = inside[k] >> at & 1
+        while not block:
+            d += 1
+            block = inside[k + d] >> (at << d) & ((1 << (1 << d)) - 1)
+        if k + d > cap:
+            raise LevelCapExceeded(cap + 1, cap)
+        choices.append((1 << d) - 1 + (block & -block).bit_length() - 1)
     return DenseOpenParam(tuple(choices))
 
 

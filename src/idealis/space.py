@@ -219,6 +219,21 @@ class Clopen:
             mask = (mask | mask << (gap << j)) & masks[j]
         return mask * ((1 << (1 << lift)) - 1)
 
+    def inside_masks(self) -> list[int]:
+        """Entry l, for l = 0 .. level: the mask of the level-l cylinders
+        that lie wholly inside this set.
+
+        Entry ``level`` is the set's own mask.  A shallower cylinder is
+        inside when both its children are, so each entry is one
+        ``_reduce_once`` of ``mask & mask >> 1`` from the entry below it:
+        the AND lands on each pair's even bit, which the reduction keeps.
+        """
+        out = [self.mask]
+        for lvl in range(self.level, 0, -1):
+            mask = out[-1]
+            out.append(_reduce_once(lvl, mask & mask >> 1)[1])
+        return out[::-1]
+
     # -- boolean algebra -------------------------------------------------
 
     def union(self, other: "Clopen") -> "Clopen":

@@ -13,8 +13,46 @@ from idealis.closed_null import (
     e_open_stage,
     e_term,
 )
-from idealis.errors import InsufficientPrefix, InsufficientResolution
-from idealis.space import Clopen, Tri, pair
+from idealis.enumerations import kcomb_rank
+from idealis.errors import IdealisError, InsufficientPrefix, InsufficientResolution, LevelCapExceeded
+from idealis.space import Clopen, Tri, _require_level, max_level, pair
+
+
+def listed_e_open_encode(v, m_max):
+    """Oracle: ``e_open_encode`` from explicit lists of the cylinders
+    inside v, one list per level tried."""
+
+    def inside(level):
+        if level >= v.level:
+            mask = v.mask_at(level)
+            return [i for i in range(1 << level) if mask >> i & 1]
+        # a shallow cylinder counts only when all its extensions are inside
+        step = 1 << (v.level - level)
+        full = (1 << step) - 1
+        return [i for i in range(1 << level) if (v.mask >> (i * step)) & full == full]
+
+    cap = max_level()
+    x0, x1, x2 = [], [], []
+    for n in range(m_max + 1):
+        chosen = None
+        for lvl in range(v.level + 1):
+            count = len(inside(lvl))
+            if lvl < n:
+                if count == 1 << lvl:
+                    chosen = lvl
+                    break
+            elif count >= (1 << lvl) - (1 << (lvl - n)):
+                chosen = lvl
+                break
+        if chosen is None:
+            raise InsufficientResolution(n)
+        lifted = max(chosen, n)
+        _require_level(lifted, cap)
+        size = (1 << lifted) - (1 << (lifted - n)) if n else 0
+        x0.append(0)
+        x1.append(chosen)
+        x2.append(kcomb_rank(1 << lifted, inside(lifted)[:size], cap))
+    return ETripleParam(tuple(x0), tuple(x1), tuple(x2))
 
 
 class TestTerm:
@@ -115,6 +153,31 @@ class TestEncode:
             v = Clopen.cylinder(format(missing, f"0{lvl}b")).complement()
             p = e_open_encode(v, lvl - 1)
             assert e_open_stage(p, lvl - 1).subset(v)
+
+    @pytest.mark.parametrize("m_max", [0, 2, 5])
+    def test_matches_the_listed_encoder_on_holed_targets(self, m_max, monkeypatch):
+        def outcome(encode, v):
+            try:
+                return encode(v, m_max)
+            except IdealisError as e:
+                return e.name, e.detail()
+
+        rng = random.Random(4100 + m_max)
+        names = set()
+        for _ in range(120):
+            monkeypatch.setenv("IDEALIS_MAX_LEVEL", rng.choice(["12", "12", "6", "3"]))
+            lvl = rng.randrange(11)
+            holes = rng.choice([0, 1, 2, 5, 1 << (lvl // 2), 1 << max(lvl - 2, 0)])
+            mask = (1 << (1 << lvl)) - 1
+            for _ in range(holes):
+                mask &= ~(1 << rng.randrange(1 << lvl))
+            v = Clopen.from_mask(lvl, mask)
+            got = outcome(e_open_encode, v)
+            assert got == outcome(listed_e_open_encode, v), (v, m_max)
+            names.add(got[0] if isinstance(got, tuple) else "ok")
+        assert names == (
+            {"ok"} if m_max == 0 else {"ok", InsufficientResolution.name, LevelCapExceeded.name}
+        )
 
 
 class TestMember:

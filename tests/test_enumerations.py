@@ -24,7 +24,9 @@ from idealis.enumerations import (
     clopen_enum,
     clopen_rank,
     kcomb_rank,
+    kcomb_rank_mask,
     kcomb_unrank,
+    kcomb_unrank_mask,
     kprime,
     lex_word,
 )
@@ -397,6 +399,37 @@ class TestCombinadics:
         with pytest.raises(LevelCapExceeded):
             kcomb_rank(4097, (0,))
         assert kcomb_rank(4096, (4095,)) == 4095
+
+    @pytest.mark.parametrize("t", [0, 1, 32, 2048, 3968, 4064, 4095, 4096])
+    def test_mask_walks_at_the_cap(self, t):
+        n = 4096
+        total = comb(n, t)
+        rng = random.Random(t)
+        low = (1 << t) - 1
+        # rank 0 takes the first t candidates, rank C - 1 the last t
+        assert kcomb_unrank_mask(n, t, 0) == low
+        assert kcomb_unrank_mask(n, t, total - 1) == low << (n - t)
+        for r in {0, total - 1, rng.randrange(total), rng.randrange(total), rng.randrange(10**30) % total}:
+            mask = kcomb_unrank_mask(n, t, r)
+            assert mask.bit_count() == t and mask.bit_length() <= n
+            assert kcomb_rank_mask(n, mask) == r
+            members = kcomb_unrank(n, t, r)
+            assert members == tuple(c for c in range(n) if mask >> c & 1)
+            assert kcomb_rank(n, members) == r
+
+    def test_mask_walk_errors(self):
+        for args, error in [
+            ((4, 5, 0), IndexOutOfRange),
+            ((4, 2, 6), IndexOutOfRange),
+            ((4, 2, -1), IndexOutOfRange),
+            ((4097, 1, 0), LevelCapExceeded),
+        ]:
+            with pytest.raises(error):
+                kcomb_unrank_mask(*args)
+        for mask in (-1, 1 << 4):
+            with pytest.raises(IndexOutOfRange):
+                kcomb_rank_mask(4, mask)
+        assert kcomb_rank_mask(4, 0) == 0
 
 
 class TestLevelCapInteraction:

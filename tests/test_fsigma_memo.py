@@ -58,13 +58,13 @@ class TestMemoAnswers:
 
     def test_each_e_term_is_unranked_once_per_parameter(self, monkeypatch):
         calls = []
-        real = closed_null.kcomb_unrank
+        real = closed_null.kcomb_unrank_mask
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(closed_null, "kcomb_unrank", counted)
+        monkeypatch.setattr(closed_null, "kcomb_unrank_mask", counted)
         v = Clopen.cylinder("000000").complement()
         p = EParam.from_triples([e_open_encode(v, 5), e_open_encode(v, 5)], 5)
         answers = [e_fsigma_member(p, z, 2, n) for z in ("000000", "01", "") for n in range(6)]

@@ -4,7 +4,7 @@ import pytest
 
 from idealis import enumerations, meager, space
 from idealis.checks import brute_fxp
-from idealis.errors import InsufficientPrefix, NotDense
+from idealis.errors import IdealisError, InsufficientPrefix, LevelCapExceeded, NotDense
 from idealis.meager import (
     DenseOpenParam,
     IntervalPartition,
@@ -16,7 +16,7 @@ from idealis.meager import (
     meager_eval,
     partition_from,
 )
-from idealis.enumerations import basic_open_cantor
+from idealis.enumerations import basic_open_cantor, basic_word_cantor, kprime
 from idealis.space import Clopen, Tri
 
 
@@ -135,6 +135,78 @@ class TestDenseOpen:
     def test_insufficient_prefix(self):
         with pytest.raises(InsufficientPrefix):
             dense_section_stage(DenseOpenParam((0, 0)), 2)
+
+
+def linear_dense_open_encode(w, n_max):
+    """Oracle: the least m of each selection, found by trying m = 0, 1, ...
+    with ``kprime`` until the basic subset lies inside ``w``."""
+    cap = space.max_level()
+    for n in range(1, n_max + 1):
+        if not w.meets_cylinder(basic_word_cantor(n, cap)):
+            raise NotDense(n)
+    choices = [0]
+    for n in range(1, n_max + 1):
+        m = 0
+        while not w.covers_cylinder(basic_word_cantor(kprime(n, m), cap)):
+            m += 1
+        choices.append(m)
+    return DenseOpenParam(tuple(choices))
+
+
+def encode_outcome(encode, w, n_max):
+    try:
+        return encode(w, n_max).prefix
+    except IdealisError as e:
+        return e.name, e.detail()
+
+
+class TestDenseClosedForm:
+    """``dense_open_encode`` reads each selection off the target's mask;
+    the linear search over m is its oracle, errors included."""
+
+    @pytest.mark.parametrize("n_max", [1, 5, 14, 30])
+    def test_matches_the_linear_search_on_random_targets(self, n_max):
+        rng = random.Random(3100 + n_max)
+        names = set()
+        for _ in range(150):
+            level = rng.randrange(10)
+            density = rng.choice([0.3, 0.6, 0.9, 0.99])
+            mask = sum(1 << i for i in range(1 << level) if rng.random() < density)
+            w = Clopen.from_mask(level, mask)
+            got = encode_outcome(dense_open_encode, w, n_max)
+            assert got == encode_outcome(linear_dense_open_encode, w, n_max), (w, n_max)
+            names.add(got[0] if got[0] == NotDense.name else "ok")
+        assert names == {"ok", NotDense.name}
+
+    @pytest.mark.parametrize("n_max", [0, 1, 5, 14, 30])
+    def test_empty_and_non_dense_targets_raise_the_same_error(self, n_max):
+        rng = random.Random(3200 + n_max)
+        targets = [Clopen.empty(), Clopen.from_words(1, ["0"]), Clopen.from_words(3, ["000", "111"])]
+        targets += [Clopen.from_mask(6, rng.getrandbits(64) & rng.getrandbits(64)) for _ in range(20)]
+        for w in targets:
+            got = encode_outcome(dense_open_encode, w, n_max)
+            assert got == encode_outcome(linear_dense_open_encode, w, n_max), (w, n_max)
+        assert encode_outcome(dense_open_encode, Clopen.empty(), n_max) == (
+            (NotDense.name, {"basic_open": 1}) if n_max else (0,)
+        )
+
+    def test_a_target_deeper_than_a_lowered_cap(self, monkeypatch):
+        monkeypatch.setenv("IDEALIS_MAX_LEVEL", "5")
+        # every fourth level-9 word is missing, so the shallowest cylinder
+        # inside lies 8 levels below the whole space: past the cap
+        w = Clopen.from_mask(9, sum(1 << i for i in range(512) if i % 4))
+        want = (LevelCapExceeded.name, {"level": 6, "cap": 5})
+        assert encode_outcome(dense_open_encode, w, 3) == want
+        assert encode_outcome(linear_dense_open_encode, w, 3) == want
+        rng = random.Random(33)
+        for _ in range(100):
+            monkeypatch.setenv("IDEALIS_MAX_LEVEL", str(rng.randrange(1, 8)))
+            level = rng.randrange(5, 10)
+            mask = sum(1 << i for i in range(1 << level) if rng.random() < 0.9)
+            w = Clopen.from_mask(level, mask)
+            n_max = rng.choice([1, 5, 14, 30])
+            got = encode_outcome(dense_open_encode, w, n_max)
+            assert got == encode_outcome(linear_dense_open_encode, w, n_max), (w, n_max)
 
 
 class TestMeager:

@@ -262,6 +262,17 @@ class TestCylinderQueries:
         assert s.covers_cylinder("010" + "1" * 10_000)
         assert not s.meets_cylinder("011" + "0" * 10_000)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_inside_masks_list_the_covered_cylinders(self, data):
+        s = _clopens(data)
+        masks = s.inside_masks()
+        assert len(masks) == s.level + 1 and masks[-1] == s.mask
+        for level, mask in enumerate(masks):
+            for i in range(1 << level):
+                word = format(i, f"0{level}b") if level else ""
+                assert (mask >> i & 1) == s.covers_cylinder(word)
+
 
 class TestPairing:
     def test_base_case(self):
