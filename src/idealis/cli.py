@@ -231,6 +231,11 @@ def cmd_laver(args) -> dict:
     return {"witnesses": got}
 
 
+def _meager_half(doc) -> tuple:
+    # the meager half of a product: its dense opens and n_max
+    return [Clopen.from_json(d) for d in doc["dense_opens"]], int(doc["n_max"])
+
+
 def cmd_fubini(args) -> dict:
     from .fubini import (
         DensityProxy,
@@ -244,26 +249,10 @@ def cmd_fubini(args) -> dict:
     from .nullset import CoverFamily
 
     if args.op == "encode":
-        x_part = _arg_json(args.x_part)
-        plane_part = _arg_json(args.plane_part)
-        if args.variant == "nm":
-            pp = product_encode(
-                "nm",
-                CoverFamily.from_json(x_part),
-                (
-                    [Clopen.from_json(d) for d in plane_part["dense_opens"]],
-                    int(plane_part["n_max"]),
-                ),
-            )
-        else:
-            pp = product_encode(
-                "mn",
-                (
-                    [Clopen.from_json(d) for d in x_part["dense_opens"]],
-                    int(x_part["n_max"]),
-                ),
-                CoverFamily.from_json(plane_part),
-            )
+        x_part, plane_part = _arg_json(args.x_part), _arg_json(args.plane_part)
+        halves = (CoverFamily.from_json, _meager_half)
+        read_x, read_plane = halves if args.variant == "nm" else halves[::-1]
+        pp = product_encode(args.variant, read_x(x_part), read_plane(plane_part))
         return param_file(f"fubini-{args.variant}", pp.to_json())
     if args.op == "eval":
         pp = load_param(_arg_json(args.param), ("fubini-nm", "fubini-mn"))

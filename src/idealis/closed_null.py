@@ -8,13 +8,14 @@ lifted to max(requested level, m) whenever the requested level is too
 shallow for the subset size to be an integer, so the term measure
 1 - 2^-m survives arbitrary parameters and every stage union is full up
 to an error of 2^-n_max unconditionally.  Membership in the union of
-the rows' complements is decided by ``space.fsigma_member``, the
-evaluator the meager sections use too.
+the rows' complements is decided through ``space.FsigmaParam``: ``EParam``
+says only how a row becomes its E terms, and shares its format, memo and
+evaluator with the meager parameter ``MeagerParam``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from math import comb
@@ -23,10 +24,10 @@ from .errors import InsufficientPrefix, InsufficientResolution
 from .space import (
     BitWord,
     Clopen,
+    FsigmaParam,
     Tri,
     _prefix_union,
     _require_level,
-    fsigma_member,
     matrix_entry,
     max_level,
     pack_rows,
@@ -153,17 +154,9 @@ def e_open_encode(v: Clopen, m_max: int) -> ETripleParam:
 
 
 @dataclass(frozen=True)
-class EParam:
-    """Rows of triple parameters packed into one prefix.
-
-    ``_unions`` memoizes each row's stage unions, keyed by (row, level
-    cap); it takes no part in equality, hashing, ``repr`` or JSON.
-    """
-
-    prefix: tuple
-    rows: int
-    horizon: int
-    _unions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class EParam(FsigmaParam):
+    """Rows of triple parameters: row r's terms are the E terms of the
+    triple it packs."""
 
     def row(self, r: int) -> ETripleParam:
         """Row r, read as the packed triple it stores: coordinate i at
@@ -189,16 +182,8 @@ class EParam:
         rows = [ETripleParam(t.x0[cut], t.x1[cut], t.x2[cut]).packed() for t in triples]
         return EParam(pack_rows(rows), len(triples), horizon)
 
-    def to_json(self) -> dict:
-        return {"prefix": list(self.prefix), "rows": self.rows, "horizon": self.horizon}
-
-    @staticmethod
-    def from_json(doc: dict) -> "EParam":
-        return EParam(
-            tuple(int(v) for v in doc["prefix"]),
-            int(doc["rows"]),
-            int(doc["horizon"]),
-        )
+    def _row_terms(self, r: int, cap: int) -> Callable[[int], Clopen]:
+        return _e_terms(self.row(r), cap)
 
 
 def e_fsigma_member(p: EParam, z: BitWord, rows: int, n_max: int) -> Tri:
@@ -209,15 +194,5 @@ def e_fsigma_member(p: EParam, z: BitWord, rows: int, n_max: int) -> Tri:
     whole horizon; FAILS when `z` sits inside every row's union already
     at `n_max`.  Raising `n_max` within the horizon only resolves
     UNKNOWN.
-
-    A row's cells are read up to the horizon before its first term is
-    built, and its stage unions are kept in the parameter's memo.
     """
-    if n_max > p.horizon:
-        raise InsufficientPrefix(n_max, what="stage horizon")
-    cap = max_level()
-
-    def stage_union(r: int, n: int) -> Clopen:
-        return _prefix_union(p._unions, (r, cap), n, lambda: _e_terms(p.row(r), cap))
-
-    return fsigma_member(z, rows, n_max, p.horizon, stage_union)
+    return p.member(z, rows, n_max)

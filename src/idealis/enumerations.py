@@ -33,8 +33,11 @@ from .space import Clopen, _require_level, index_word, max_level, pair, seq_deco
 CANTOR = "cantor"
 BAIRE = "baire"
 
-# Baire kprime pops m codes off a heap, so m is capped
+# Baire kprime pops m codes off a heap, so m is capped; each code it pushes
+# has about twice the bits of the basic set's index n or more, so m times
+# the bit length of n is capped too
 BAIRE_KPRIME_BUDGET = 1 << 16
+BAIRE_KPRIME_BITS = 1 << 22
 
 
 def _binomial_prefix(b: int, q: int) -> tuple[int, int]:
@@ -367,21 +370,10 @@ def basic_open(space: str, n: int):
 
 
 def _kprime_cantor(n: int, m: int) -> int:
-    if n == 1:
-        if m == 0:
-            return 1
-        rest, depth = m - 1, 1
-        base = ""
-    else:
-        if m == 0:
-            return n
-        rest, depth = m - 1, 1
-        base = _cantor_cylinder_word(n - 2)
-    while rest >= 1 << depth:
-        rest -= 1 << depth
-        depth += 1
-    word = base + index_word(rest, depth)
-    return 2 + ((1 << len(word)) - 2) + int(word, 2)
+    # the extensions of basic set n's word at depth d are basic sets
+    # (n << d) + i for i < 2^d, and they are entries m = 2^d - 1 + i
+    d = (m + 1).bit_length() - 1
+    return ((n - 1) << d) + m + 1
 
 
 def _kprime_baire(n: int, m: int) -> int:
@@ -415,6 +407,11 @@ def kprime(n: int, m: int, space: str = CANTOR) -> int:
         if m >= BAIRE_KPRIME_BUDGET:
             raise IndexOutOfRange(
                 f"baire kprime index {m} is past the budget {BAIRE_KPRIME_BUDGET}"
+            )
+        if m * n.bit_length() > BAIRE_KPRIME_BITS:
+            raise IndexOutOfRange(
+                f"baire kprime index {m} times the {n.bit_length()} bits of n"
+                f" is past the budget {BAIRE_KPRIME_BITS}"
             )
         return _kprime_baire(n, m)
     raise IndexOutOfRange(f"unknown space {space!r}")
@@ -459,9 +456,10 @@ def kcomb_unrank_mask(n: int, t: int, r: int, cap: int | None = None) -> int:
     rem = t
     c = 0
     # cur tracks C(n-1-c, rem-1), the count of subsets taking candidate c;
-    # it is updated multiplicatively so each step costs one mul and one
-    # exact division instead of a fresh binomial.
-    cur = comb(n - 1, rem - 1)
+    # it starts at C(n-1, t-1) = C(n, t) t / n and is updated
+    # multiplicatively, so each step costs one mul and one exact division
+    # instead of a fresh binomial.
+    cur = total * t // n
     while True:
         a = n - 1 - c
         if r < cur:

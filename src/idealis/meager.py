@@ -6,15 +6,16 @@ subset of it; because only nonempty subsets are ever selected, the union
 meets every basic open set no matter what the parameter says, so every
 section is dense-at-stage unconditionally.  Encoders pick those subsets
 inside a given clopen target, which pins the stage union under the target
-exactly.  A meager section is evaluated by ``space.fsigma_member``, the
-evaluator it shares with the closed-null sections.  The
+exactly.  ``MeagerParam`` is a ``space.FsigmaParam``: it says only how a
+row becomes its dense-open terms, and shares its format, memo and
+evaluator with the closed-null parameter ``EParam``.  The
 interval-partition predicate used by the combinatorial meager base lives
 here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InsufficientPrefix, LevelCapExceeded, NotDense
@@ -22,9 +23,9 @@ from .space import (
     BairePrefix,
     BitWord,
     Clopen,
+    FsigmaParam,
     Tri,
     _prefix_union,
-    fsigma_member,
     matrix_entry,
     max_level,
     pack_rows,
@@ -167,35 +168,15 @@ def dense_open_encode(w: Clopen, n_max: int) -> DenseOpenParam:
 
 
 @dataclass(frozen=True)
-class MeagerParam:
-    """Rows of dense-open parameters packed into one matrix-coded prefix.
-
-    ``horizon`` is the stage depth the rows carry data for; evaluation
-    never reads past it, so negative certificates issued against the
-    horizon survive every admissible stage refinement.
-
-    ``_unions`` memoizes each row's stage unions, keyed by (row, level
-    cap); it takes no part in equality, hashing, ``repr`` or JSON.
-    """
-
-    prefix: tuple
-    rows: int
-    horizon: int
-    _unions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class MeagerParam(FsigmaParam):
+    """Rows of dense-open parameters: row r's terms are the dense-open
+    terms of cells (r, 0) .. (r, horizon)."""
 
     def row(self, r: int, n_max: int) -> DenseOpenParam:
         return DenseOpenParam(tuple(matrix_entry(self.prefix, r, n) for n in range(n_max + 1)))
 
-    def to_json(self) -> dict:
-        return {"prefix": list(self.prefix), "rows": self.rows, "horizon": self.horizon}
-
-    @staticmethod
-    def from_json(doc: dict) -> "MeagerParam":
-        return MeagerParam(
-            tuple(int(v) for v in doc["prefix"]),
-            int(doc["rows"]),
-            int(doc["horizon"]),
-        )
+    def _row_terms(self, r: int, cap: int) -> Callable[[int], Clopen]:
+        return _dense_terms(self.row(r, self.horizon), cap)
 
 
 def meager_encode(dense_opens: Sequence[Clopen], n_max: int) -> MeagerParam:
@@ -213,17 +194,5 @@ def meager_eval(p: MeagerParam, z: BitWord, rows: int, n_max: int) -> Tri:
     horizon -- a certificate no later stage can revoke.  FAILS when `z`
     sits inside every row's union already at `n_max`.  Raising `n_max`
     within the horizon only ever resolves UNKNOWN.
-
-    A row's cells are read up to the horizon before its first term is
-    built, and its stage unions are kept in the parameter's memo.
     """
-    if n_max > p.horizon:
-        raise InsufficientPrefix(n_max, what="stage horizon")
-    cap = max_level()
-
-    def stage_union(r: int, n: int) -> Clopen:
-        return _prefix_union(
-            p._unions, (r, cap), n, lambda: _dense_terms(p.row(r, p.horizon), cap)
-        )
-
-    return fsigma_member(z, rows, n_max, p.horizon, stage_union)
+    return p.member(z, rows, n_max)

@@ -1,6 +1,6 @@
 """Cylinder algebra on Cantor space, plus the coding bijections, the
-matrix coding of parameters and the F_sigma evaluator shared by the
-constructions in this package.
+matrix coding of parameters, and the F_sigma row parameter with its
+evaluator, shared by the meager and closed-null constructions.
 
 Finite data stands in for infinite objects throughout: a 0/1 word denotes
 the cylinder of all sequences extending it, a tuple of naturals is the
@@ -15,14 +15,14 @@ operation is pure, so sharing across threads is unrestricted.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from typing import Callable, Iterable, Sequence
 
-from .errors import InsufficientPrefix, LevelCapExceeded
+from .errors import IndexOutOfRange, InsufficientPrefix, LevelCapExceeded
 
 #: Finite prefix of an element of omega^omega.
 BairePrefix = tuple
@@ -32,6 +32,10 @@ BitWord = str
 DEFAULT_MAX_LEVEL = 12
 
 CODING = "cantor-e1"
+
+#: `seq_code` refuses a code longer than this; each entry roughly squares
+#: the code, so the work and the answer's size are bounded too
+SEQ_CODE_BITS = 1 << 20
 
 
 def max_level() -> int:
@@ -320,11 +324,13 @@ def seq_code(s: Sequence[int]) -> int:
 
     The empty sequence maps to 0 and appending a entry maps (code, entry)
     through the pairing function plus one, so decoding peels entries off
-    the tail.
+    the tail.  A code past ``SEQ_CODE_BITS`` bits raises IndexOutOfRange.
     """
     code = 0
     for a in s:
         code = pair(code, a) + 1
+        if code.bit_length() > SEQ_CODE_BITS:
+            raise IndexOutOfRange(f"sequence code past {SEQ_CODE_BITS} bits")
     return code
 
 
@@ -411,3 +417,44 @@ def fsigma_member(
         if not stage_union(r, n_max).covers_cylinder(z):
             inside_all = False
     return Tri.FAILS if inside_all else Tri.UNKNOWN
+
+
+@dataclass(frozen=True)
+class FsigmaParam:
+    """Rows of open-set parameters packed into one matrix-coded prefix;
+    a subclass's ``_row_terms`` says how row r becomes its terms.
+
+    ``horizon`` is the stage depth the rows carry data for; evaluation
+    never reads past it, so negative certificates issued against the
+    horizon survive every admissible stage refinement.  ``_unions``
+    memoizes each row's stage unions, keyed by (row, level cap); it takes
+    no part in equality, hashing, ``repr`` or JSON.
+    """
+
+    prefix: tuple
+    rows: int
+    horizon: int
+    _unions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _row_terms(self, r: int, cap: int) -> Callable[[int], Clopen]:
+        """Read row r's cells to the horizon and return its term function."""
+        raise NotImplementedError
+
+    def member(self, z: BitWord, rows: int, n_max: int) -> Tri:
+        """``fsigma_member`` over the first `rows` rows at stage `n_max`, at
+        most the horizon, with each row's stage unions kept in the memo."""
+        if n_max > self.horizon:
+            raise InsufficientPrefix(n_max, what="stage horizon")
+        cap = max_level()
+
+        def stage_union(r: int, n: int) -> Clopen:
+            return _prefix_union(self._unions, (r, cap), n, lambda: self._row_terms(r, cap))
+
+        return fsigma_member(z, rows, n_max, self.horizon, stage_union)
+
+    def to_json(self) -> dict:
+        return {"prefix": list(self.prefix), "rows": self.rows, "horizon": self.horizon}
+
+    @classmethod
+    def from_json(cls, doc: dict):
+        return cls(tuple(int(v) for v in doc["prefix"]), int(doc["rows"]), int(doc["horizon"]))

@@ -306,6 +306,9 @@ def test_queries_build_no_cylinder_past_the_cap(monkeypatch):
 
 
 WHOLE_SPACE = '{"level":0,"words":[""]}'
+LONG_LABEL = json.dumps(
+    {"ideal": "laver", "coding": "cantor-e1", "phi": [{"seq": [1] * 25, "val": 1}]}
+)
 
 
 @pytest.mark.parametrize(
@@ -317,6 +320,13 @@ WHOLE_SPACE = '{"level":0,"words":[""]}'
         (["e", "encode", "--clopen", WHOLE_SPACE, "--m-max", "12"], None),
         (["enum", "kcomb", "--N", "4096", "--t", "2048", "--r", "123456789"], None),
         (["enum", "kprime", "--space", "baire", "--n", "1", "--m", "65535"], None),
+        (["space", "seq", "--encode", json.dumps([1] * 26)], "IndexOutOfRange"),
+        (["laver", "encode", "--phi", json.dumps([{"seq": [2] * 22, "val": 1}])], "IndexOutOfRange"),
+        (["laver", "encode", "--phi", json.dumps([{"seq": [1] * 25, "val": 1}])], "IndexOutOfRange"),
+        (["laver", "eval", "--param", LONG_LABEL, "--f", "[0]", "--n1", "1"], "IndexOutOfRange"),
+        (["laver", "encode", "--phi", json.dumps([{"seq": [2] * 19, "val": 1}])], None),
+        (["enum", "kprime", "--space", "baire", "--n", "9" * 2000, "--m", "65535"], "IndexOutOfRange"),
+        (["enum", "kprime", "--space", "baire", "--n", "9" * 2000, "--m", "600"], None),
     ],
     ids=[
         "e-encode-past-cap",
@@ -325,6 +335,13 @@ WHOLE_SPACE = '{"level":0,"words":[""]}'
         "e-encode-at-cap",
         "kcomb-at-cap",
         "baire-kprime-at-budget",
+        "seq-code-past-bits",
+        "laver-encode-past-bits",
+        "laver-encode-ones-past-bits",
+        "laver-param-past-bits",
+        "laver-encode-at-bits",
+        "baire-kprime-past-bits",
+        "baire-kprime-at-bits",
     ],
 )
 def test_argv_past_a_work_bound_is_refused_at_once(argv, error):
@@ -370,3 +387,25 @@ def test_hostile_argv_ends_in_one_malformed_input_document(argv, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and out.count("\n") == 1
     assert json.loads(out)["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("variant", ["nm", "mn"])
+def test_fubini_encode_reads_the_x_half_then_the_plane_half_by_variant(variant):
+    from idealis.fubini import product_encode
+
+    covers = {"covers": [[{"level": 2, "words": ["00"]}], [{"level": 3, "words": ["000"]}]]}
+    dense = {"dense_opens": [{"level": 1, "words": ["0", "1"]}], "n_max": 2}
+    null_half, meager_half = CoverFamily.from_json(covers), ([Clopen.full()], 2)
+    if variant == "nm":
+        parts, halves = (covers, dense), (null_half, meager_half)
+    else:
+        parts, halves = (dense, covers), (meager_half, null_half)
+    argv = ["fubini", "encode", "--variant", variant]
+    code, out = run_cli(argv + ["--x-part", json.dumps(parts[0]), "--plane-part", json.dumps(parts[1])])
+    doc = json.loads(out)
+    assert code == 0 and doc["ideal"] == f"fubini-{variant}"
+    assert {k: doc[k] for k in ("first", "second", "variant")} == product_encode(variant, *halves).to_json()
+    # with both halves malformed, the x half's missing key is the one named
+    code, out = run_cli(argv + ["--x-part", "{}", "--plane-part", "{}"])
+    missing = "'covers'" if variant == "nm" else "'dense_opens'"
+    assert code == 1 and json.loads(out) == {"error": "MalformedInput", "detail": {"message": missing}}

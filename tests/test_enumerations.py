@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from idealis.errors import IndexOutOfRange, LevelCapExceeded, MeasureTooLarge
 from idealis.enumerations import (
+    BAIRE_KPRIME_BITS,
     BaireCylinder,
     _binomial_prefix,
+    _cantor_cylinder_word,
     _level_count,
     _level_ladder,
     _level_start,
@@ -291,6 +293,21 @@ class TestBasicOpen:
             basic_open("euclid", 1)
 
 
+def kprime_cantor_by_walk(n, m):
+    """Entry m of the extensions of basic set n's word, found by walking
+    the depths: m = 0 is the word itself, then 2 words at depth 1, 4 at
+    depth 2, and so on."""
+    if m == 0:
+        return n
+    base = "" if n == 1 else _cantor_cylinder_word(n - 2)
+    rest, depth = m - 1, 1
+    while rest >= 1 << depth:
+        rest -= 1 << depth
+        depth += 1
+    word = base + index_word(rest, depth)
+    return 2 + ((1 << len(word)) - 2) + int(word, 2)
+
+
 class TestKprime:
     def test_zero_row_is_zero(self):
         for m in range(10):
@@ -346,6 +363,22 @@ class TestKprime:
         # the sixth extension of the stem coded 1999 is its child with
         # last entry 4, coded pair(1999, 4) + 1 = 2007011
         assert kprime(2000, 5, "baire") == 2007012
+
+    def test_cantor_closed_form_matches_the_depth_walk(self):
+        rng = random.Random(15)
+        cases = [(n, m) for n in range(1, 200) for m in range(200)]
+        cases += [(rng.getrandbits(200) + 1, rng.getrandbits(200)) for _ in range(2000)]
+        for n, m in cases:
+            assert kprime(n, m) == kprime_cantor_by_walk(n, m)
+
+    def test_baire_work_is_bounded_by_index_and_stem_bits(self):
+        # m under the 2^16 budget, but m times the bit length of n past
+        # the bit budget: refused before any code is pushed
+        n = 1 << 6643
+        m = BAIRE_KPRIME_BITS // n.bit_length() + 1
+        with pytest.raises(IndexOutOfRange):
+            kprime(n, m, "baire")
+        assert kprime(n, m - 1, "baire") > n
 
 
 class TestLexWord:

@@ -4,9 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealis.errors import InsufficientPrefix
+from idealis.closed_null import EParam
+from idealis.errors import IndexOutOfRange, InsufficientPrefix
+from idealis.meager import MeagerParam
 from idealis.space import (
+    SEQ_CODE_BITS,
     Clopen,
+    FsigmaParam,
     _reduce_once,
     _reducible,
     Tri,
@@ -315,6 +319,41 @@ class TestSeqCode:
             assert seq_decode(k) == s
             codes.add(k)
         assert len(codes) == len(seqs)
+
+    def test_code_past_the_bit_bound_is_refused(self):
+        # each entry roughly squares the code: [2] * 19 has 574,036 bits,
+        # [2] * 20 would have 1,148,070
+        assert seq_code([2] * 19).bit_length() == 574036 <= SEQ_CODE_BITS
+        for s in ([2] * 20, [1] * 26, [2] * 19 + [0] * 5):
+            with pytest.raises(IndexOutOfRange):
+                seq_code(s)
+        with pytest.raises(IndexOutOfRange):
+            seq_code([1 << SEQ_CODE_BITS])
+
+
+class TestFsigmaParam:
+    def test_subclasses_share_the_format_but_not_equality(self):
+        fields = ((1, 2, 3), 1, 0)
+        m, e = MeagerParam(*fields), EParam(*fields)
+        assert m != e and e != m
+        assert m == MeagerParam(*fields) and e == EParam(*fields)
+        assert m.to_json() == e.to_json()
+        assert hash(m) == hash(e) == hash(fields)
+        assert type(MeagerParam.from_json(e.to_json())) is MeagerParam
+        assert type(EParam.from_json(m.to_json())) is EParam
+        assert MeagerParam.from_json(m.to_json()) == m
+        assert repr(m) == "MeagerParam(prefix=(1, 2, 3), rows=1, horizon=0)"
+        assert repr(e) == "EParam(prefix=(1, 2, 3), rows=1, horizon=0)"
+
+    def test_subclasses_declare_no_fields_and_stay_frozen(self):
+        from dataclasses import FrozenInstanceError, fields
+
+        names = [f.name for f in fields(FsigmaParam)]
+        for kind in (MeagerParam, EParam):
+            assert [f.name for f in fields(kind)] == names
+            for name in ("rows", "extra"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(kind((), 0, 0), name, 1)
 
 
 class TestMatrixEntry:
