@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from math import comb
 
-from .errors import InsufficientPrefix, InsufficientResolution
+from .errors import IndexOutOfRange, InsufficientPrefix, InsufficientResolution
 from .space import (
     BitWord,
     Clopen,
@@ -89,6 +89,8 @@ def _e_terms(p: ETripleParam, cap: int) -> Callable[[int], Clopen]:
 
 def e_term(p: ETripleParam, n: int) -> Clopen:
     """Union of 2^L - 2^(L-m) level-L cylinders, m = x0(n) + n."""
+    if n < 0:
+        raise IndexOutOfRange("term positions are naturals")
     if n >= p.positions:
         raise InsufficientPrefix(n + 1)
     return _e_terms(p, max_level())(n)

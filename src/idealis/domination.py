@@ -5,18 +5,25 @@ tree labelling.
 A labelling assigns a natural to each finite sequence; a function earns a
 witness at n when its value there drops below the label of its own first
 n entries.  Labellings are stored sparsely because sequence codes grow
-through iterated pairing far too fast for dense prefixes; absent codes
-read as zero, the one value that never creates a witness.
+through iterated pairing far too fast for dense prefixes; absent
+sequences read as zero, the one value that never creates a witness.
+
+A labelling keeps each labelled sequence beside its code.  The codes fix
+the order of the entries and are what equality and hashing compare; the
+sequences answer the queries.  ``label``, ``laver_witnesses`` and
+``to_json`` look labels up by sequence and code or decode nothing, and a
+witness count stops after the longest labelled length.  Only
+``laver_encode``, and ``from_json`` through it, computes codes: one
+``seq_code`` per entry, which also refuses codes past ``SEQ_CODE_BITS``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import InsufficientPrefix
-from .space import BairePrefix, pair, seq_code, seq_decode
+from .errors import IndexOutOfRange, InsufficientPrefix
+from .space import BairePrefix, seq_code, seq_decode
 
 
 @dataclass(frozen=True)
@@ -35,6 +42,8 @@ class KsigmaParam:
 
 def dominated_from(y: KsigmaParam, x: BairePrefix, n: int) -> bool:
     """Is x(m) <= y(m) for every m with n < m < (common length)?"""
+    if n < 0:
+        raise IndexOutOfRange("domination positions are naturals")
     common = min(len(y.bound), len(x))
     if common <= n + 1:
         raise InsufficientPrefix(n + 2, what="common prefix")
@@ -56,30 +65,35 @@ def ksigma_diagonal(y: KsigmaParam) -> tuple:
 
 @dataclass(frozen=True)
 class LaverParam:
-    """Sparse labelling of finite sequences via their codes."""
+    """Sparse labelling of finite sequences, each kept beside its code."""
 
     entries: tuple  # sorted (code, value) pairs with nonzero values
+    # each entry's sequence, decoded from its code when not given
+    seqs: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         codes = [c for c, _ in self.entries]
         if codes != sorted(set(codes)):
             raise ValueError("entries must be sorted by code, without repeats")
-        object.__setattr__(self, "_codes", codes)
-        object.__setattr__(self, "_values", [v for _, v in self.entries])
+        if self.seqs is None:
+            object.__setattr__(self, "seqs", tuple(seq_decode(c) for c in codes))
+        values = [v for _, v in self.entries]
+        object.__setattr__(self, "_by_code", dict(zip(codes, values)))
+        object.__setattr__(self, "_by_seq", dict(zip(self.seqs, values)))
+        object.__setattr__(self, "_depth", max(map(len, self.seqs), default=-1))
 
     def value_at_code(self, code: int) -> int:
-        i = bisect_left(self._codes, code)
-        if i < len(self._codes) and self._codes[i] == code:
-            return self._values[i]
-        return 0
+        return self._by_code.get(code, 0)
 
     def label(self, s: Sequence[int]) -> int:
-        return self.value_at_code(seq_code(s))
+        s = tuple(s)
+        _require_naturals(s)
+        return self._by_seq.get(s, 0)
 
     def to_json(self) -> dict:
         return {
             "phi": [
-                {"seq": list(seq_decode(c)), "val": v} for c, v in self.entries
+                {"seq": list(s), "val": v} for s, (_, v) in zip(self.seqs, self.entries)
             ]
         }
 
@@ -92,12 +106,15 @@ class LaverParam:
         return laver_encode(phi)
 
 
+def _require_naturals(s: tuple) -> None:
+    if s and min(s) < 0:
+        raise IndexOutOfRange("sequence entries are naturals")
+
+
 def laver_encode(phi: Mapping[tuple, int]) -> LaverParam:
     """Labelling from an explicit finite map; everything else reads zero."""
-    entries = sorted(
-        (seq_code(s), v) for s, v in phi.items() if v != 0
-    )
-    return LaverParam(tuple(entries))
+    coded = sorted((seq_code(s), tuple(s), v) for s, v in phi.items() if v != 0)
+    return LaverParam(tuple((c, v) for c, _, v in coded), tuple(s for _, s, _ in coded))
 
 
 def laver_witnesses(p: LaverParam, f: BairePrefix, n0: int, n1: int) -> int:
@@ -107,14 +124,11 @@ def laver_witnesses(p: LaverParam, f: BairePrefix, n0: int, n1: int) -> int:
         raise InsufficientPrefix(n1)
     if n0 < 0:
         raise ValueError("n0 must be non-negative")
-    # codes of f's prefixes, built one entry at a time; they strictly
-    # increase, so past the largest stored code every label is 0
-    top = p.entries[-1][0] if p.entries else -1
-    count, code = 0, 0
-    for n in range(n1):
-        if code > top:
-            break
-        if n >= n0 and f[n] < p.value_at_code(code):
+    f = tuple(f[:n1])
+    _require_naturals(f)
+    # no prefix longer than the longest labelled sequence has a label
+    labels, count = p._by_seq, 0
+    for n in range(n0, min(n1, p._depth + 1)):
+        if f[n] < labels.get(f[:n], 0):
             count += 1
-        code = pair(code, f[n]) + 1
     return count

@@ -324,10 +324,13 @@ def seq_code(s: Sequence[int]) -> int:
 
     The empty sequence maps to 0 and appending a entry maps (code, entry)
     through the pairing function plus one, so decoding peels entries off
-    the tail.  A code past ``SEQ_CODE_BITS`` bits raises IndexOutOfRange.
+    the tail.  A negative entry, or a code past ``SEQ_CODE_BITS`` bits,
+    raises IndexOutOfRange.
     """
     code = 0
     for a in s:
+        if a < 0:
+            raise IndexOutOfRange("sequence entries are naturals")
         code = pair(code, a) + 1
         if code.bit_length() > SEQ_CODE_BITS:
             raise IndexOutOfRange(f"sequence code past {SEQ_CODE_BITS} bits")
@@ -335,6 +338,8 @@ def seq_code(s: Sequence[int]) -> int:
 
 
 def seq_decode(k: int) -> tuple[int, ...]:
+    if k < 0:
+        raise IndexOutOfRange("sequence codes are naturals")
     out = []
     while k > 0:
         k, a = unpair(k - 1)

@@ -156,6 +156,10 @@ def build_cases():
             "ksigma", "diagonal", "--param",
             '{"coding":"other-convention","ideal":"ksigma","prefix":[1]}',
         ],
+        "error_negative_entry": [
+            "laver", "eval", "--param", laver_param, "--f", "[-1,2,0,1,5]",
+            "--n0", "0", "--n1", "5",
+        ],
         "error_not_dense": [
             "meager", "encode", "--dense-opens", '[{"level":1,"words":["0"]}]',
             "--n-max", "3",

@@ -389,6 +389,46 @@ def test_hostile_argv_ends_in_one_malformed_input_document(argv, tmp_path):
     assert json.loads(out)["error"] == "MalformedInput"
 
 
+def golden_param(name):
+    # the --param value of a golden's argv
+    argv = json.loads((GOLDEN_DIR / f"{name}.json").read_text())["argv"]
+    return argv[argv.index("--param") + 1]
+
+
+KSIGMA_PARAM = golden_param("ksigma_eval")
+E_TRIPLE = golden_param("e_term")
+ROOT_LABEL = json.dumps(
+    {"ideal": "laver", "coding": "cantor-e1", "phi": [{"seq": [], "val": 2}]}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["space", "seq", "--encode", "[-1]"],
+        ["space", "seq", "--decode", "-5"],
+        ["laver", "eval", "--param", ROOT_LABEL, "--f", "[-1,-1,3]", "--n0", "0", "--n1", "3"],
+        ["laver", "encode", "--phi", '[{"seq":[-1],"val":1},{"seq":[],"val":2}]'],
+        ["ksigma", "eval", "--param", KSIGMA_PARAM, "--x", "[1,1,1,1]", "--n", "-6"],
+        ["ksigma", "eval", "--param", KSIGMA_PARAM, "--x", "[1,1,1,1]", "--n", "-2"],
+        ["e", "term", "--param", E_TRIPLE, "--n", "-4"],
+        ["e", "term", "--param", E_TRIPLE, "--n", "-1"],
+        ["e", "term", "--param", E_TRIPLE, "--n", str(-10**22)],
+    ],
+    ids=[
+        "seq-encode-negative-entry", "seq-decode-negative-code", "laver-eval-negative-entry",
+        "laver-encode-negative-entry", "ksigma-eval-n-past-the-front", "ksigma-eval-negative-n",
+        "e-term-n-past-the-front", "e-term-negative-n", "e-term-n-past-an-index",
+    ],
+)
+def test_a_negative_entry_position_or_code_is_refused(argv):
+    # each used to answer for the natural it aliased through Python's
+    # negative indexing or the pairing, or to escape main as an IndexError
+    code, out = run_cli(argv)
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out)["error"] == "IndexOutOfRange"
+
+
 @pytest.mark.parametrize("variant", ["nm", "mn"])
 def test_fubini_encode_reads_the_x_half_then_the_plane_half_by_variant(variant):
     from idealis.fubini import product_encode

@@ -14,7 +14,7 @@ from idealis.closed_null import (
     e_term,
 )
 from idealis.enumerations import kcomb_rank
-from idealis.errors import IdealisError, InsufficientPrefix, InsufficientResolution, LevelCapExceeded
+from idealis.errors import IdealisError, IndexOutOfRange, InsufficientPrefix, InsufficientResolution, LevelCapExceeded
 from idealis.space import Clopen, Tri, _require_level, max_level, pair
 
 
@@ -65,6 +65,12 @@ class TestTerm:
     def test_degenerate_size_zero(self):
         p = ETripleParam((0,), (0,), (0,))
         assert e_term(p, 0) == Clopen.empty()
+
+    def test_negative_position_is_refused(self):
+        p = ETripleParam((0, 0), (0, 1), (0, 0))
+        for n in (-1, -2, -10**22):
+            with pytest.raises(IndexOutOfRange):
+                e_term(p, n)
 
     def test_measure_law_random(self):
         rng = random.Random(7)

@@ -330,6 +330,16 @@ class TestSeqCode:
         with pytest.raises(IndexOutOfRange):
             seq_code([1 << SEQ_CODE_BITS])
 
+    def test_negative_entries_and_codes_are_refused(self):
+        # seq_code((-1,)) used to alias the code 0 of the empty sequence,
+        # and seq_decode of a negative code to answer the empty sequence
+        for s in ((-1,), (0, -1), (3, 1, -5)):
+            with pytest.raises(IndexOutOfRange):
+                seq_code(s)
+        for k in (-1, -5):
+            with pytest.raises(IndexOutOfRange):
+                seq_decode(k)
+
 
 class TestFsigmaParam:
     def test_subclasses_share_the_format_but_not_equality(self):
