@@ -33,7 +33,7 @@ from .space import (
     pack_rows,
     pair,
 )
-from .enumerations import kcomb_rank_mask, kcomb_unrank_mask
+from .enumerations import kcomb_rank_mask, kcomb_unrank_mask_below
 
 
 @dataclass(frozen=True)
@@ -75,20 +75,24 @@ class ETripleParam:
 def _e_terms(p: ETripleParam, cap: int) -> Callable[[int], Clopen]:
     # the term at each position n < p.positions, under the level cap `cap`
     def term(n: int) -> Clopen:
-        m = p.x0[n] + n
-        lvl = max(p.x1[n], m)
+        x0, x1, x2 = p.x0[n], p.x1[n], p.x2[n]
+        if (x0 | x1 | x2) < 0:
+            raise IndexOutOfRange(f"E triple cells are naturals; position {n} has a negative one")
+        m = x0 + n
+        lvl = max(x1, m)
         _require_level(lvl, cap)
         size = (1 << lvl) - (1 << (lvl - m)) if m else 0
         if size == 0:
             return Clopen.empty()
-        index = p.x2[n] % comb(1 << lvl, size)
-        return Clopen.from_mask(lvl, kcomb_unrank_mask(1 << lvl, size, index, cap))
+        total = comb(1 << lvl, size)
+        return Clopen.from_mask(lvl, kcomb_unrank_mask_below(1 << lvl, size, x2 % total, total))
 
     return term
 
 
 def e_term(p: ETripleParam, n: int) -> Clopen:
-    """Union of 2^L - 2^(L-m) level-L cylinders, m = x0(n) + n."""
+    """Union of 2^L - 2^(L-m) level-L cylinders, m = x0(n) + n; a
+    negative cell at position n raises IndexOutOfRange."""
     if n < 0:
         raise IndexOutOfRange("term positions are naturals")
     if n >= p.positions:

@@ -119,11 +119,12 @@ def laver_encode(phi: Mapping[tuple, int]) -> LaverParam:
 
 def laver_witnesses(p: LaverParam, f: BairePrefix, n0: int, n1: int) -> int:
     """Count of n in [n0, n1) with f(n) below the label of f's first n
-    entries.  Additive over adjacent windows."""
+    entries.  Additive over adjacent windows.  A negative bound raises
+    IndexOutOfRange, after the prefix-length check."""
     if len(f) < n1:
         raise InsufficientPrefix(n1)
-    if n0 < 0:
-        raise ValueError("n0 must be non-negative")
+    if (n0 | n1) < 0:
+        raise IndexOutOfRange("window bounds are naturals")
     f = tuple(f[:n1])
     _require_naturals(f)
     # no prefix longer than the longest labelled sequence has a label

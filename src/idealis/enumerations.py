@@ -16,7 +16,12 @@ Enumerated sets are memoized together with the level cap they were
 computed under.
 Basic open sets, the nonempty-basic-subset index, lexicographic words and
 combinadic subset (un)ranking, on member masks with tuple wrappers, live
-here as well.
+here as well.  A t-subset of {0..n-1} and its lex rank are read through
+the k = min(t, n - t) digits of the combinatorial number system on the
+minority side (Knuth, TAOCP 4A, 7.2.1.3), not through the n candidates:
+ranking carries one binomial per side element, and unranking jumps over
+each run between two digits, steered by a float estimate and settled by
+exact comparisons.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, lgamma, log, perm
 
 from .errors import IndexOutOfRange, LevelCapExceeded, MeasureTooLarge
 from .space import Clopen, _require_level, index_word, max_level, pair, seq_decode
@@ -436,70 +441,148 @@ def kcomb_unrank_mask(n: int, t: int, r: int, cap: int | None = None) -> int:
     """The r-th t-subset of {0..n-1}, ordering sorted tuples
     lexicographically, as the mask with bit c set for each member c.
     Exact for big-integer ranks.  An n past 2^cap (default: the current
-    ``max_level()``) raises LevelCapExceeded.
-
-    The walk takes the candidates c = 0, 1, ... in turn and stops at the
-    last member.  It records only the minority side: the members when
-    2t <= n, otherwise the candidates it skips, whose mask is XORed with
-    the candidates it passed at the end.
-    """
+    ``max_level()``) raises LevelCapExceeded, and a rank outside
+    [0, C(n, t)) IndexOutOfRange; ``kcomb_unrank_mask_below`` then walks."""
     if t < 0 or t > n:
         raise IndexOutOfRange(f"no {t}-subsets of a {n}-set")
     _require_ground_set(n, cap)
     total = comb(n, t)
     if not 0 <= r < total:
         raise IndexOutOfRange(f"rank {r} out of range {total}")
-    if t == 0:
-        return 0
+    return kcomb_unrank_mask_below(n, t, r, total)
+
+
+def _digit_guess(a: int, j: int, r: int, b: int) -> float:
+    """A float estimate of the c in [j, a] with C(c, j) = r, for
+    1 <= r < b = C(a, j): Newton's method on ln C(c, j) = ln r, started at
+    a, where ln C(a, j) is read off b and later values from ``lgamma``.
+    ln C(c, j) is increasing and concave in c, with slope about
+    ln((c + 1/2) / (c - j + 1/2)) and a second derivative below that slope
+    over c - j, so Newton's iterates climb towards the root after the
+    first step, and a step s leaves at most s^2 / (2 (c - j)) to go: the
+    walk stops once that is below 1/2.  It only steers the walk."""
+    x = log(r)
+    f = log(b) - x
+    c = float(a)
+    for _ in range(8):
+        step = f / log((c + 0.5) / (c - j + 0.5))
+        c = max(c - step, j)
+        if step * step <= c - j:
+            break
+        f = lgamma(c + 1) - lgamma(c - j + 1) - lgamma(j + 1) - x
+    return c
+
+
+def kcomb_unrank_mask_below(n: int, t: int, r: int, total: int) -> int:
+    """``kcomb_unrank_mask`` without its checks: n, t and the cap are the
+    caller's to check, and r must already lie below ``total`` = C(n, t),
+    which an E term has taken as its modulus anyway.
+
+    Lex order on sorted tuples puts A before B exactly when min(A ^ B) is
+    in A.  So the rank is the sum of C(n - 1 - b_i, k + 1 - i) over the
+    non-members b_1 < ... < b_k, k = n - t, and C(n, t) - 1 minus the same
+    sum over the members, k = t.  The walk reads the k digits of that sum
+    on the minority side: largest first, digit j is the largest c below
+    the last with C(c, j) <= r, and the side element is n - 1 - c.  It
+    carries b = C(a, j) exactly, down one position in
+    C(a - 1, j) = C(a, j)(a - j)/a and to the next digit in
+    C(a - 1, j - 1) = C(a, j) j/a, so where digits are dense (balanced
+    shapes) it steps as a candidate walk would.  Where one step down still
+    leaves b above r, and the bits b has left to shed, at about 1.44 j/a a
+    step, put the digit more than a couple of dozen positions down, it
+    jumps: ``_digit_guess`` picks the landing c, clamped to [j, a - 1], b
+    is computed there exactly (a ``perm`` ratio over a gap shorter than j,
+    ``comb`` over a longer one), and exact comparisons step to the digit.
+    Once r is 0 the digits left are the least, the last side elements.
+    """
     members = 2 * t <= n
-    side = 0
-    rem = t
-    c = 0
-    # cur tracks C(n-1-c, rem-1), the count of subsets taking candidate c;
-    # it starts at C(n-1, t-1) = C(n, t) t / n and is updated
-    # multiplicatively, so each step costs one mul and one exact division
-    # instead of a fresh binomial.
-    cur = total * t // n
-    while True:
-        a = n - 1 - c
-        if r < cur:
-            if members:
-                side |= 1 << c
-            rem -= 1
-            if rem == 0:
-                break
-            cur = cur * rem // a
-        else:
-            if not members:
-                side |= 1 << c
-            r -= cur
-            cur = cur * (a - rem + 1) // a
-        c += 1
-    return side if members else side ^ ((2 << c) - 1)
+    k = t if members else n - t
+    if k == 0:
+        return 0 if members else (1 << n) - 1
+    if members:
+        r = total - 1 - r
+    # side[c] is "1" when n - 1 - c is on the minority side
+    side = bytearray(b"0" * n)
+    a, j = n - 1, k
+    b = total * (n - k) // n  # C(n - 1, k)
+    while r:
+        if b > r:
+            b = b * (a - j) // a
+            a -= 1
+            if b > r:
+                if (b.bit_length() - r.bit_length()) * a > 32 * j:
+                    guess = _digit_guess(a, j, r, b)
+                    # clamped to [j, a - 1]; a guess that is not a number lands at a - 1
+                    c = int(guess) if j < guess < a else j if guess <= j else a - 1
+                    g = a - c
+                    b = b * perm(a - j, g) // perm(a, g) if g < j else comb(c, j)
+                    a = c
+                    while True:
+                        up = b * (a + 1) // (a + 1 - j)
+                        if up > r:
+                            break
+                        a, b = a + 1, up
+                while b > r:
+                    b = b * (a - j) // a
+                    a -= 1
+        side[a] = 49
+        r -= b
+        b = b * j // a
+        a -= 1
+        j -= 1
+    side[:j] = b"1" * j
+    mask = int(side, 2)
+    return mask if members else mask ^ ((1 << n) - 1)
 
 
 def kcomb_rank_mask(n: int, mask: int) -> int:
     """Inverse of kcomb_unrank_mask: the rank of the subset of {0..n-1}
     whose members are the 1 bits of ``mask``, among the subsets of its
-    size."""
+    size.
+
+    The same sum of binomials as ``kcomb_unrank_mask_below``, one term per
+    minority element, smallest term first: C(c, j) for the j-th least c
+    (the j-th side element from the top).  The side elements are read as
+    the runs between them in the mask's binary string.  The leading terms
+    with c = j - 1 are 0 and are skipped; each later term is carried from
+    the one before over the g positions between them,
+    C(c', j + 1) = C(c, j) perm(c', g + 1) / ((j + 1) perm(c' - j - 1, g)),
+    or taken by ``comb`` where g is at least j.  On the member side
+    C(n, t) comes from the last term the same way.
+    """
     if mask < 0 or mask.bit_length() > n:
         raise IndexOutOfRange("not a subset of {0..n-1}")
-    rem = mask.bit_count()
-    if rem == 0:
+    t = mask.bit_count()
+    members = 2 * t <= n
+    k = t if members else n - t
+    if k == 0:
         return 0
-    r = 0
-    cur = comb(n - 1, rem - 1)
-    for c, bit in enumerate(bin(mask)[:1:-1]):
-        a = n - 1 - c
-        if bit == "1":
-            rem -= 1
-            if rem == 0:
-                break
-            cur = cur * rem // a
+    # the side's elements are this digit in the string, at index c
+    digit = "1" if members else "0"
+    s = bin(mask)[2:].zfill(n)
+    lead = len(s) - len(s.lstrip(digit))
+    c = lead - 1
+    r = b = 0
+    for j, g in enumerate(map(len, s[lead:].split(digit)[: k - lead]), lead + 1):
+        c += g + 1
+        if not g:
+            b = b * c // j
+        elif g == 1 and b:
+            # the perm ratio below, inlined: each side is one small product
+            b = b * (c * (c - 1)) // (j * (c - j))
+        elif b and g < j:
+            b = b * perm(c, g + 1) // (j * perm(c - j, g))
         else:
-            r += cur
-            cur = cur * (a - (rem - 1)) // a
-    return r
+            b = comb(c, j)
+        r += b
+    if not members:
+        return r
+    g = n - c
+    if b and g < k:
+        total = b * perm(n, g) // perm(n - k, g)
+    else:
+        total = comb(n, k)
+    return total - 1 - r
 
 
 def kcomb_unrank(n: int, t: int, r: int, cap: int | None = None) -> tuple[int, ...]:

@@ -308,7 +308,10 @@ def canonicalize(level: int, words: Iterable[BitWord]) -> Clopen:
 
 
 def pair(m: int, n: int) -> int:
-    """Cantor pairing (m + n)(m + n + 1)/2 + n."""
+    """Cantor pairing (m + n)(m + n + 1)/2 + n of two naturals; a negative
+    argument raises IndexOutOfRange."""
+    if (m | n) < 0:
+        raise IndexOutOfRange("pairing arguments are naturals")
     s = m + n
     return s * (s + 1) // 2 + n
 
@@ -410,11 +413,14 @@ def fsigma_member(
 
     HOLDS when the cylinder misses some row's union at `horizon`, FAILS
     when it lies inside every row's union at `n_max`, UNKNOWN otherwise.
-    `z` is validated before any union is built, and each row's horizon
-    union is built before its stage union.  Each test reads one bit or one
-    block of a union's mask, so the length of `z` is not capped.
+    `z` is validated before any union is built, then `rows`: no rows
+    answer FAILS, and a negative count raises IndexOutOfRange.  Each row's
+    horizon union is built before its stage union.  Each test reads one bit
+    or one block of a union's mask, so the length of `z` is not capped.
     """
     check_word(z, len(z))
+    if rows < 0:
+        raise IndexOutOfRange("row counts are naturals")
     inside_all = True
     for r in range(rows):
         if not stage_union(r, horizon).meets_cylinder(z):

@@ -14,7 +14,7 @@ from idealis.cli import COMMANDS, build_parser, main
 from idealis.closed_null import EParam, e_fsigma_member, e_open_encode
 from idealis.meager import dense_open_encode, meager_encode, meager_eval
 from idealis.nullset import CoverFamily, null_encode, null_member
-from idealis.space import Clopen, Tri, fsigma_member, max_level
+from idealis.space import Clopen, Tri, fsigma_member, max_level, pair
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -389,14 +389,30 @@ def test_hostile_argv_ends_in_one_malformed_input_document(argv, tmp_path):
     assert json.loads(out)["error"] == "MalformedInput"
 
 
+def golden_argv(name, flag=None, value=None):
+    # a golden's argv, with one flag's value replaced when one is given
+    argv = json.loads((GOLDEN_DIR / f"{name}.json").read_text())["argv"]
+    if flag is not None:
+        argv[argv.index(flag) + 1] = value
+    return argv
+
+
 def golden_param(name):
     # the --param value of a golden's argv
-    argv = json.loads((GOLDEN_DIR / f"{name}.json").read_text())["argv"]
+    argv = golden_argv(name)
     return argv[argv.index("--param") + 1]
 
 
 KSIGMA_PARAM = golden_param("ksigma_eval")
 E_TRIPLE = golden_param("e_term")
+
+
+def e_term_with_cell(cell, value, n):
+    # the e_term golden's triple with one prefix cell replaced, read at n;
+    # position n's coordinate i sits at cell pair(i, n)
+    doc = json.loads(E_TRIPLE)
+    doc["prefix"][cell] = value
+    return ["e", "term", "--param", json.dumps(doc), "--n", str(n)]
 ROOT_LABEL = json.dumps(
     {"ideal": "laver", "coding": "cantor-e1", "phi": [{"seq": [], "val": 2}]}
 )
@@ -414,16 +430,29 @@ ROOT_LABEL = json.dumps(
         ["e", "term", "--param", E_TRIPLE, "--n", "-4"],
         ["e", "term", "--param", E_TRIPLE, "--n", "-1"],
         ["e", "term", "--param", E_TRIPLE, "--n", str(-10**22)],
+        e_term_with_cell(pair(0, 0), -1, 0),
+        e_term_with_cell(pair(1, 1), -2, 1),
+        e_term_with_cell(pair(2, 1), -5, 1),
+        golden_argv("meager_eval") + ["--rows", "-1"],
+        golden_argv("e_eval") + ["--rows", "-1"],
+        golden_argv("laver_eval", "--n1", "-3"),
+        golden_argv("laver_eval", "--n0", "-1"),
+        ["space", "pair", "--m", "-5", "--n", "2"],
     ],
     ids=[
         "seq-encode-negative-entry", "seq-decode-negative-code", "laver-eval-negative-entry",
         "laver-encode-negative-entry", "ksigma-eval-n-past-the-front", "ksigma-eval-negative-n",
         "e-term-n-past-the-front", "e-term-negative-n", "e-term-n-past-an-index",
+        "e-term-negative-x0-cell", "e-term-negative-x1-cell", "e-term-negative-x2-cell",
+        "meager-eval-negative-rows", "e-eval-negative-rows", "laver-eval-negative-n1", "laver-eval-negative-n0",
+        "space-pair-negative-m",
     ],
 )
 def test_a_negative_entry_position_or_code_is_refused(argv):
     # each used to answer for the natural it aliased through Python's
-    # negative indexing or the pairing, or to escape main as an IndexError
+    # negative indexing, the pairing or the modulus of a rank, to answer
+    # as for zero rows or an empty window, or to escape main as an
+    # IndexError, a ValueError or math.comb's own error
     code, out = run_cli(argv)
     assert code == 2 and out.count("\n") == 1
     assert json.loads(out)["error"] == "IndexOutOfRange"

@@ -272,8 +272,10 @@ class TestLaverAgainstTheCodeWalk:
             p.label((-1,))
         with pytest.raises(InsufficientPrefix):
             laver_witnesses(p, (-1,), 0, 3)
-        with pytest.raises(ValueError, match="n0"):
+        with pytest.raises(IndexOutOfRange, match="window"):
             laver_witnesses(p, (-1, 0), -1, 2)
+        with pytest.raises(IndexOutOfRange, match="window"):
+            laver_witnesses(p, (0, 0), 0, -1)
         # only f's first n1 entries are read
         assert laver_witnesses(p, (0, -1), 0, 1) == 1
         with pytest.raises(IndexOutOfRange):

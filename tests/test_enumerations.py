@@ -7,12 +7,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idealis import enumerations
 from idealis.errors import IndexOutOfRange, LevelCapExceeded, MeasureTooLarge
 from idealis.enumerations import (
     BAIRE_KPRIME_BITS,
     BaireCylinder,
     _binomial_prefix,
     _cantor_cylinder_word,
+    _digit_guess,
     _level_count,
     _level_ladder,
     _level_start,
@@ -463,6 +465,107 @@ class TestCombinadics:
             with pytest.raises(IndexOutOfRange):
                 kcomb_rank_mask(4, mask)
         assert kcomb_rank_mask(4, 0) == 0
+
+
+def flat_unrank_mask(n, t, r):
+    """The r-th t-subset of {0..n-1} by the candidate walk the library
+    used before its digit walk: take c when r is below
+    cur = C(n - 1 - c, rem - 1), rem the members still to take, else skip
+    c and drop cur ranks; cur is carried from one candidate to the next."""
+    if t == 0:
+        return 0
+    mask, rem, c = 0, t, 0
+    cur = comb(n, t) * t // n
+    while True:
+        a = n - 1 - c
+        if r < cur:
+            mask |= 1 << c
+            rem -= 1
+            if rem == 0:
+                return mask
+            cur = cur * rem // a
+        else:
+            r -= cur
+            cur = cur * (a - rem + 1) // a
+        c += 1
+
+
+def flat_rank_mask(n, mask):
+    """The rank of ``mask`` by the same candidate walk."""
+    rem = mask.bit_count()
+    if rem == 0:
+        return 0
+    r, cur = 0, comb(n - 1, rem - 1)
+    for c in range(n):
+        a = n - 1 - c
+        if mask >> c & 1:
+            rem -= 1
+            if rem == 0:
+                return r
+            cur = cur * rem // a
+        else:
+            r += cur
+            cur = cur * (a - rem + 1) // a
+
+
+def e_shaped(level, m):
+    # an E term's subset size: all but 2^(level - m) of the 2^level cylinders
+    return (1 << level) - (1 << (level - m))
+
+
+class TestCombinadicDigits:
+    """The digit walks against the candidate walks above."""
+
+    def check(self, n, t, r):
+        mask = kcomb_unrank_mask(n, t, r)
+        assert mask == flat_unrank_mask(n, t, r)
+        assert kcomb_rank_mask(n, mask) == r == flat_rank_mask(n, mask)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_every_subset_up_to_ten(self, n):
+        for t in range(n + 1):
+            for r in range(comb(n, t)):
+                self.check(n, t, r)
+
+    @pytest.mark.parametrize("level", range(1, 13))
+    def test_seeded_ranks_at_powers_of_two(self, level):
+        n, rng = 1 << level, random.Random(level)
+        for _ in range(3):
+            for t in (e_shaped(level, rng.randint(0, level)), rng.randint(0, n)):
+                total = comb(n, t)
+                for r in {0, total - 1, rng.randrange(total), rng.randrange(min(total, 1 << 100))}:
+                    self.check(n, t, r)
+
+    @pytest.mark.parametrize("level", [3, 7, 10, 12])
+    def test_unrank_inverts_rank_on_random_masks(self, level):
+        n, rng = 1 << level, random.Random(level)
+        for density in (0.02, 0.5, 0.97):
+            mask = sum(1 << c for c in range(n) if rng.random() < density)
+            assert kcomb_unrank_mask(n, mask.bit_count(), kcomb_rank_mask(n, mask)) == mask
+
+    @pytest.mark.parametrize(
+        "guess",
+        [lambda a, j, r, b: j - 1, lambda a, j, r, b: a - 1, lambda a, j, r, b: float("nan"),
+         lambda a, j, r, b: float("inf"), lambda a, j, r, b: -float("inf")],
+        ids=["low-bound", "high-bound", "nan", "inf", "minus-inf"],
+    )
+    def test_a_wrong_guess_only_costs_steps(self, monkeypatch, guess):
+        monkeypatch.setattr(enumerations, "_digit_guess", guess)
+        rng = random.Random(7)
+        for level, m in [(8, 3), (10, 4), (10, 6), (12, 5)]:
+            n, t = 1 << level, e_shaped(level, m)
+            total = comb(n, t)
+            for r in (total - 1, rng.randrange(total), rng.randrange(10**30)):
+                self.check(n, t, r)
+
+    def test_the_guess_lands_within_one_of_the_digit(self):
+        # so a jump settles its digit in one or two exact steps
+        rng = random.Random(3)
+        for a, j in [(4095, 128), (4000, 1), (1023, 64), (4095, 32), (300, 150)]:
+            for _ in range(8):
+                r = rng.randrange(1, comb(a, j))
+                c = max(c for c in range(j, a + 1) if comb(c, j) <= r)
+                assert abs(int(_digit_guess(a, j, r, comb(a, j))) - c) <= 1
 
 
 class TestLevelCapInteraction:

@@ -58,13 +58,13 @@ class TestMemoAnswers:
 
     def test_each_e_term_is_unranked_once_per_parameter(self, monkeypatch):
         calls = []
-        real = closed_null.kcomb_unrank_mask
+        real = closed_null.kcomb_unrank_mask_below
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(closed_null, "kcomb_unrank_mask", counted)
+        monkeypatch.setattr(closed_null, "kcomb_unrank_mask_below", counted)
         v = Clopen.cylinder("000000").complement()
         p = EParam.from_triples([e_open_encode(v, 5), e_open_encode(v, 5)], 5)
         answers = [e_fsigma_member(p, z, 2, n) for z in ("000000", "01", "") for n in range(6)]
@@ -91,6 +91,14 @@ class TestMemoAnswers:
 
 
 class TestMemoErrors:
+    def test_zero_rows_fail_and_negative_rows_are_refused(self):
+        v = Clopen.cylinder("000000").complement()
+        for p in (meager_encode([v], 5), EParam.from_triples([e_open_encode(v, 5)], 5)):
+            # no rows: the union of their closed sets is empty
+            assert outcome(p, "01", 0, 3) == "FailsAtStage"
+            assert outcome(p, "01", -1, 3) == ("IndexOutOfRange", {"message": "row counts are naturals"})
+            assert not p._unions
+
     def test_lowered_cap_is_not_served_from_the_memo(self, monkeypatch):
         monkeypatch.setenv("IDEALIS_MAX_LEVEL", "12")
         v = Clopen.cylinder("000000").complement()

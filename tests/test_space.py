@@ -291,6 +291,12 @@ class TestPairing:
             for n in range(100):
                 assert unpair(pair(m, n)) == (m, n)
 
+    def test_negative_arguments_are_refused(self):
+        # pair(-5, 2) used to be 5 = pair(0, 2)
+        for m, n in [(-5, 2), (2, -5), (-1, -1), (-(10**30), 0)]:
+            with pytest.raises(IndexOutOfRange):
+                pair(m, n)
+
     @given(st.integers(0, 10**9))
     @settings(max_examples=200, deadline=None)
     def test_unpair_total(self, k):
