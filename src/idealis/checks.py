@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from .errors import InsufficientPrefix, UnknownSuite
-from .space import Clopen, Tri, pair, seq_code, seq_decode, unpair
+from .space import Clopen, Tri, pair, seq_code, seq_decode, tri_or, unpair
 from .enumerations import (
     basic_open,
     basic_open_cantor,
@@ -62,7 +62,6 @@ from .fubini import (
     quantifier_depth,
     quantifier_shape,
     section_diagnostic,
-    tri_or,
 )
 
 

@@ -24,7 +24,7 @@ import sys
 
 from . import __version__
 from .errors import CodingMismatch, IdealisError
-from .space import CODING, Clopen, canonicalize, pair, seq_code, seq_decode, unpair
+from .space import CODING, Clopen, pair, seq_code, seq_decode, unpair
 
 CREATED_BY = f"idealis {__version__}"
 
@@ -103,8 +103,7 @@ def cmd_space(args) -> dict:
         m = Clopen.from_json(_arg_json(args.clopen)).measure()
         return {"num": m.numerator, "exp": m.denominator.bit_length() - 1}
     if args.op == "canon":
-        doc = _arg_json(args.clopen)
-        return canonicalize(int(doc["level"]), doc["words"]).to_json()
+        return Clopen.from_json(_arg_json(args.clopen)).to_json()
     if args.op == "pair":
         if args.invert is not None:
             m, n = unpair(args.invert)
@@ -218,14 +217,10 @@ def cmd_ksigma(args) -> dict:
 
 
 def cmd_laver(args) -> dict:
-    from .domination import laver_encode, laver_witnesses
+    from .domination import LaverParam, laver_witnesses
 
     if args.op == "encode":
-        phi = {
-            tuple(int(a) for a in item["seq"]): int(item["val"])
-            for item in _arg_json(args.phi)
-        }
-        return param_file("laver", laver_encode(phi).to_json())
+        return param_file("laver", LaverParam.from_json({"phi": _arg_json(args.phi)}).to_json())
     param = load_param(_arg_json(args.param), "laver")
     got = laver_witnesses(param, _baire(_arg_json(args.f)), args.n0, args.n1)
     return {"witnesses": got}

@@ -56,19 +56,14 @@ class ETripleParam:
         """Single prefix carrying the three coordinates as matrix rows."""
         return pack_rows((self.x0, self.x1, self.x2))
 
-    @staticmethod
-    def from_packed(prefix: Sequence[int], positions: int) -> "ETripleParam":
-        return ETripleParam(
-            *(tuple(matrix_entry(prefix, i, n) for n in range(positions)) for i in range(3))
-        )
-
     def to_json(self) -> dict:
         return {"prefix": list(self.packed()), "positions": self.positions}
 
     @staticmethod
     def from_json(doc: dict) -> "ETripleParam":
-        return ETripleParam.from_packed(
-            [int(v) for v in doc["prefix"]], int(doc["positions"])
+        prefix, positions = [int(v) for v in doc["prefix"]], int(doc["positions"])
+        return ETripleParam(
+            *(tuple(matrix_entry(prefix, i, n) for n in range(positions)) for i in range(3))
         )
 
 

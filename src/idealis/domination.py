@@ -78,12 +78,8 @@ class LaverParam:
         if self.seqs is None:
             object.__setattr__(self, "seqs", tuple(seq_decode(c) for c in codes))
         values = [v for _, v in self.entries]
-        object.__setattr__(self, "_by_code", dict(zip(codes, values)))
         object.__setattr__(self, "_by_seq", dict(zip(self.seqs, values)))
         object.__setattr__(self, "_depth", max(map(len, self.seqs), default=-1))
-
-    def value_at_code(self, code: int) -> int:
-        return self._by_code.get(code, 0)
 
     def label(self, s: Sequence[int]) -> int:
         s = tuple(s)

@@ -14,7 +14,7 @@ the sums from one digit to the next in O(1) big-integer operations and
 stops as soon as the rest of the rank is the rest of the mask.
 Enumerated sets are memoized together with the level cap they were
 computed under.
-Basic open sets, the nonempty-basic-subset index, lexicographic words and
+Basic open sets, the nonempty-basic-subset index and
 combinadic subset (un)ranking, on member masks with tuple wrappers, live
 here as well.  A t-subset of {0..n-1} and its lex rank are read through
 the k = min(t, n - t) digits of the combinatorial number system on the
@@ -329,22 +329,17 @@ class BaireCylinder:
         return {"stem": None if self.stem is None else list(self.stem)}
 
 
-def _cantor_cylinder_word(idx: int) -> str:
-    # cylinders in (level, lex) order: idx -1 -> the whole space (the empty
-    # word); 0,1 -> level 1; 2..5 -> level 2 ...
-    level = (idx + 2).bit_length() - 1
-    return index_word(idx - ((1 << level) - 2), level)
-
-
 def basic_word_cantor(n: int, cap: int | None = None) -> str:
     """The word whose cylinder is basic open set n >= 1 of Cantor space;
     LevelCapExceeded when the word is longer than the level cap (default:
     the current ``max_level()``)."""
     if n < 1:
         raise IndexOutOfRange("only nonempty basic open sets have a word")
-    word = _cantor_cylinder_word(n - 2)
-    _require_level(len(word), cap)
-    return word
+    # basic set n is the word of n's binary digits after its leading 1:
+    # 1 -> the whole space (the empty word); 2, 3 -> level 1; 4..7 -> level 2
+    k = n.bit_length() - 1
+    _require_level(k, cap)
+    return index_word(n - (1 << k), k)
 
 
 def basic_open_cantor(n: int, cap: int | None = None) -> Clopen:
@@ -420,13 +415,6 @@ def kprime(n: int, m: int, space: str = CANTOR) -> int:
             )
         return _kprime_baire(n, m)
     raise IndexOutOfRange(f"unknown space {space!r}")
-
-
-def lex_word(n: int, k: int) -> str:
-    """The k-th word of {0,1}^n in lexicographic order."""
-    if n < 0 or not 0 <= k < (1 << n):
-        raise IndexOutOfRange(f"no word {k} at length {n}")
-    return index_word(k, n)
 
 
 # -- combinadics ------------------------------------------------------------

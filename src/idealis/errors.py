@@ -8,9 +8,14 @@ from __future__ import annotations
 
 
 class IdealisError(Exception):
-    """Base class for contract violations."""
+    """Base class for contract violations; a class's ``name`` is its own
+    class name."""
 
     name = "IdealisError"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.name = cls.__name__
 
     def detail(self) -> dict:
         return {"message": str(self)}
@@ -18,8 +23,6 @@ class IdealisError(Exception):
 
 class InsufficientPrefix(IdealisError):
     """A prefix or stage witness is too short to answer the query."""
-
-    name = "InsufficientPrefix"
 
     def __init__(self, required_length: int, what: str = "prefix"):
         super().__init__(f"{what} too short, need length >= {required_length}")
@@ -31,17 +34,15 @@ class InsufficientPrefix(IdealisError):
 
 
 class IndexOutOfRange(IdealisError):
-    name = "IndexOutOfRange"
+    """An argument lies outside the range the function accepts."""
 
 
 class MeasureTooLarge(IdealisError):
-    name = "MeasureTooLarge"
+    """A clopen set's measure is not below the bound it is ranked under."""
 
 
 class NotDense(IdealisError):
     """The set being encoded misses a basic open set it must meet."""
-
-    name = "NotDense"
 
     def __init__(self, n: int):
         super().__init__(f"input set misses basic open set number {n}")
@@ -54,8 +55,6 @@ class NotDense(IdealisError):
 class InsufficientResolution(IdealisError):
     """No admissible level realizes the requested density bound."""
 
-    name = "InsufficientResolution"
-
     def __init__(self, position: int):
         super().__init__(f"no level realizes the density bound at position {position}")
         self.position = position
@@ -65,16 +64,14 @@ class InsufficientResolution(IdealisError):
 
 
 class LengthMismatch(IdealisError):
-    name = "LengthMismatch"
+    """Words or rows that must agree in length do not."""
 
 
 class InvariantViolated(IdealisError):
-    name = "InvariantViolated"
+    """An input breaks an invariant its construction needs."""
 
 
 class UnknownSuite(IdealisError):
-    name = "UnknownSuite"
-
     def __init__(self, suite: str):
         super().__init__(f"unknown check suite: {suite}")
         self.suite = suite
@@ -85,8 +82,6 @@ class UnknownSuite(IdealisError):
 
 class LevelCapExceeded(IdealisError):
     """A construction needs a deeper level than IDEALIS_MAX_LEVEL allows."""
-
-    name = "LevelCapExceeded"
 
     def __init__(self, level: int, cap: int):
         super().__init__(f"level {level} exceeds the working cap {cap}")
@@ -99,8 +94,6 @@ class LevelCapExceeded(IdealisError):
 
 class CodingMismatch(IdealisError):
     """A parameter file was produced under a different coding convention."""
-
-    name = "CodingMismatch"
 
     def __init__(self, expected: str, found: str):
         super().__init__(f"parameter coding {found!r} does not match {expected!r}")

@@ -98,10 +98,6 @@ class DenseOpenParam:
     def to_json(self) -> dict:
         return {"prefix": list(self.prefix)}
 
-    @staticmethod
-    def from_json(doc: dict) -> "DenseOpenParam":
-        return DenseOpenParam(tuple(int(v) for v in doc["prefix"]))
-
 
 def _dense_terms(x: DenseOpenParam, cap: int) -> Callable[[int], Clopen]:
     # term n >= 1 is the selected basic subset of basic open set n; there

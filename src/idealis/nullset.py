@@ -226,12 +226,10 @@ class NullEncoding:
 
 def _flatten(family: CoverFamily):
     flat: list[Clopen] = []
-    starts = []
     for pieces in family.covers:
         flat.extend([Clopen.empty()] * _PAD)
-        starts.append(len(flat))
         flat.extend(pieces)
-    return flat, starts
+    return flat
 
 
 def _cut_points(flat: Sequence[Clopen], depth: int) -> list[int]:
@@ -257,7 +255,7 @@ def null_encode_detail(family: CoverFamily) -> NullEncoding:
     if depth == 0:
         return NullEncoding(NullParam((), ()), (), (0,))
 
-    flat, _ = _flatten(family)
+    flat = _flatten(family)
     cuts = _cut_points(flat, depth)
 
     last_nonempty = max(

@@ -184,10 +184,6 @@ class Clopen:
     def is_empty(self) -> bool:
         return self.mask == 0
 
-    @property
-    def is_full(self) -> bool:
-        return self.level == 0 and self.mask == 1
-
     def words(self) -> list[BitWord]:
         if self.level == 0:
             return [""] * self.mask
@@ -382,13 +378,15 @@ def _prefix_union(
 ) -> Clopen:
     """Union of a row's terms 0..stage, memoized in `memo[key]`.
 
-    An entry is the tuple of the row's unions at stages 0..k.  A stage
-    past k calls `open_row` first, which reads every cell of the row and
-    returns its term function, and only then builds terms k+1..stage; so
-    a missing cell is reported before any term can fail.  The extended
-    tuple is stored as a new tuple once every term is built: a term that
-    raises stores nothing, and asking again raises the same error.  A
-    negative stage is the union of no terms.
+    An entry is the tuple of the row's unions at stages 0..k, built whole
+    by one call: `open_row` first, which reads every cell of the row and
+    returns its term function, so a missing cell is reported before any
+    term can fail; then terms 0..k.  The tuple is stored once every term
+    is built: a term that raises stores nothing, and asking again raises
+    the same error.  ``FsigmaParam.member`` asks for a row's horizon
+    first, so later stages are read from the entry; a stage past k builds
+    the entry again from term 0.  A negative stage is the union of no
+    terms.
     """
     if stage < 0:
         return Clopen.empty()
@@ -396,12 +394,11 @@ def _prefix_union(
     if stage < len(unions):
         return unions[stage]
     term = open_row()
-    union = unions[-1] if unions else Clopen.empty()
-    grown = list(unions)
-    for n in range(len(unions), stage + 1):
+    union, unions = Clopen.empty(), []
+    for n in range(stage + 1):
         union = union.union(term(n))
-        grown.append(union)
-    memo[key] = tuple(grown)
+        unions.append(union)
+    memo[key] = tuple(unions)
     return union
 
 

@@ -79,17 +79,8 @@ def test_null_eval_loads_only_what_it_uses():
     assert not loaded & {"idealis.fubini", "idealis.checks"}
 
 
-def test_package_re_exports_resolve_to_their_submodule():
-    import importlib
-
-    import idealis
-
-    assert sorted(dir(idealis)) == sorted(idealis.__all__)
-    for name in idealis.__all__:
-        module = importlib.import_module(f"idealis.{idealis._MODULE_OF[name]}")
-        assert getattr(idealis, name) is getattr(module, name)
-    with pytest.raises(AttributeError):
-        idealis.no_such_name
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_modules("import idealis") == {"idealis"}
 
 
 def test_output_is_byte_stable_json(tmp_path):
@@ -240,6 +231,7 @@ def test_error_taxonomy_names_are_unique():
     names = [cls.name for cls in subclasses]
     assert len(names) == len(set(names))
     assert "IdealisError" not in names
+    assert names == [cls.__name__ for cls in subclasses]
 
 
 LONG_WORDS = ["0" * 64, "1101001110010111" * 4]
@@ -456,6 +448,38 @@ def test_a_negative_entry_position_or_code_is_refused(argv):
     code, out = run_cli(argv)
     assert code == 2 and out.count("\n") == 1
     assert json.loads(out)["error"] == "IndexOutOfRange"
+
+
+@pytest.mark.parametrize("name", ["meager_eval", "e_eval"])
+def test_a_negative_stage_is_the_stage_before_any_term(name):
+    # stage -1 unions no terms, so it covers no cylinder and never answers
+    # FAILS; the horizon unions still decide HOLDS
+    code, out = run_cli(golden_argv(name, "--n-max", "-1"))
+    assert (code, json.loads(out)) == (0, {"result": "HoldsAtStage"})
+
+
+# every term of its one row is the whole space
+WHOLE_SPACE_MEAGER = json.dumps(
+    {"ideal": "meager", "coding": "cantor-e1", "prefix": [0] * 6, "rows": 1, "horizon": 2}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        golden_argv("e_eval", "--z", "1"),
+        ["meager", "eval", "--param", WHOLE_SPACE_MEAGER, "--z", "01", "--n-max", "2"],
+    ],
+    ids=["e", "meager"],
+)
+def test_a_negative_stage_leaves_a_covered_cylinder_undecided(argv):
+    # z lies inside every row's horizon union: that stage answers FAILS,
+    # and stage -1, covering nothing, answers InsufficientData
+    code, out = run_cli(argv)
+    assert (code, json.loads(out)) == (0, {"result": "FailsAtStage"})
+    argv[argv.index("--n-max") + 1] = "-1"
+    code, out = run_cli(argv)
+    assert (code, json.loads(out)) == (0, {"result": "InsufficientData"})
 
 
 @pytest.mark.parametrize("variant", ["nm", "mn"])

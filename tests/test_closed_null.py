@@ -131,6 +131,10 @@ class TestStage:
         with pytest.raises(InsufficientPrefix):
             e_open_stage(p, 1)
 
+    def test_negative_stage_is_the_union_of_no_terms(self):
+        p = random_triple(random.Random(31), 3)
+        assert e_open_stage(p, -1) == Clopen.empty()
+
 
 class TestEncode:
     def test_whole_space(self):

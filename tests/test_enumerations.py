@@ -13,7 +13,6 @@ from idealis.enumerations import (
     BAIRE_KPRIME_BITS,
     BaireCylinder,
     _binomial_prefix,
-    _cantor_cylinder_word,
     _digit_guess,
     _level_count,
     _level_ladder,
@@ -25,6 +24,7 @@ from idealis.enumerations import (
     basic_open,
     basic_open_baire,
     basic_open_cantor,
+    basic_word_cantor,
     clopen_enum,
     clopen_rank,
     kcomb_rank,
@@ -32,7 +32,6 @@ from idealis.enumerations import (
     kcomb_unrank,
     kcomb_unrank_mask,
     kprime,
-    lex_word,
 )
 from idealis.space import Clopen, index_word, seq_decode
 
@@ -301,7 +300,7 @@ def kprime_cantor_by_walk(n, m):
     depth 2, and so on."""
     if m == 0:
         return n
-    base = "" if n == 1 else _cantor_cylinder_word(n - 2)
+    base = basic_word_cantor(n, cap=n.bit_length())
     rest, depth = m - 1, 1
     while rest >= 1 << depth:
         rest -= 1 << depth
@@ -381,21 +380,6 @@ class TestKprime:
         with pytest.raises(IndexOutOfRange):
             kprime(n, m, "baire")
         assert kprime(n, m - 1, "baire") > n
-
-
-class TestLexWord:
-    def test_examples(self):
-        assert lex_word(2, 0) == "00"
-        assert lex_word(2, 3) == "11"
-        assert lex_word(3, 4) == "100"
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            lex_word(2, 4)
-
-    def test_full_order(self):
-        words = [lex_word(3, k) for k in range(8)]
-        assert words == sorted(words)
 
 
 class TestCombinadics:

@@ -80,6 +80,9 @@ class TestDenseOpen:
         x = DenseOpenParam((0, 0))
         assert dense_section_stage(x, 1) == Clopen.full()
 
+    def test_negative_stage_is_the_union_of_no_terms(self):
+        assert dense_section_stage(DenseOpenParam((0, 0)), -1) == Clopen.empty()
+
     def test_stage_monotone_in_n_max(self):
         rng = random.Random(5)
         for _ in range(30):
