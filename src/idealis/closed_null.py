@@ -100,7 +100,7 @@ def e_open_stage(p: ETripleParam, n_max: int) -> Clopen:
     if n_max >= p.positions:
         raise InsufficientPrefix(n_max + 1)
     cap = max_level()
-    return _prefix_union({}, None, n_max, lambda: _e_terms(p, cap))
+    return _prefix_union({}, None, n_max, _e_terms, p, cap)
 
 
 def _lowest_ones(mask: int, k: int) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import IndexOutOfRange, InsufficientPrefix
-from .space import BairePrefix, seq_code, seq_decode
+from .space import BairePrefix, seq_code
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,12 @@ class LaverParam:
     """Sparse labelling of finite sequences, each kept beside its code."""
 
     entries: tuple  # sorted (code, value) pairs with nonzero values
-    # each entry's sequence, decoded from its code when not given
-    seqs: tuple = field(default=None, repr=False, compare=False)
+    seqs: tuple = field(repr=False, compare=False)  # each entry's sequence
 
     def __post_init__(self):
         codes = [c for c, _ in self.entries]
         if codes != sorted(set(codes)):
             raise ValueError("entries must be sorted by code, without repeats")
-        if self.seqs is None:
-            object.__setattr__(self, "seqs", tuple(seq_decode(c) for c in codes))
         values = [v for _, v in self.entries]
         object.__setattr__(self, "_by_seq", dict(zip(self.seqs, values)))
         object.__setattr__(self, "_depth", max(map(len, self.seqs), default=-1))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import LengthMismatch, LevelCapExceeded
+from .errors import IndexOutOfRange, LengthMismatch, LevelCapExceeded
 from .space import BitWord, Tri, tri_or
 from .meager import MeagerParam, meager_encode, meager_eval
 from .nullset import NullParam, null_encode, null_member
@@ -177,6 +177,10 @@ class SomewhereDenseProxy:
     """Flag sections meeting every cylinder at the split level."""
 
     split: int
+
+    def __post_init__(self):
+        if self.split < 0:
+            raise IndexOutOfRange("split levels are naturals")
 
     def flags(self, row: int, d: int) -> bool:
         width = 1 << (d - self.split)

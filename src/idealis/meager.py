@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InsufficientPrefix, LevelCapExceeded, NotDense
+from .errors import IndexOutOfRange, InsufficientPrefix, LevelCapExceeded, NotDense
 from .space import (
     BairePrefix,
     BitWord,
@@ -69,8 +69,11 @@ def fxp_eval(x: BitWord, partition: IntervalPartition, z: BitWord, from_block: i
 
     A block is complete when both prefixes cover it.  The answer is a
     claim about exactly this window: HOLDS when every complete block in
-    range shows a disagreement, FAILS when some block agrees.
+    range shows a disagreement, FAILS when some block agrees.  A negative
+    `from_block` raises IndexOutOfRange.
     """
+    if from_block < 0:
+        raise IndexOutOfRange("block positions are naturals")
     avail = min(len(x), len(z))
     in_range = [
         (a, b) for a, b in partition.intervals[from_block:] if b <= avail
@@ -113,7 +116,7 @@ def dense_section_stage(x: DenseOpenParam, n_max: int) -> Clopen:
     if len(x.prefix) <= n_max:
         raise InsufficientPrefix(n_max + 1)
     cap = max_level()
-    return _prefix_union({}, None, n_max, lambda: _dense_terms(x, cap))
+    return _prefix_union({}, None, n_max, _dense_terms, x, cap)
 
 
 def dense_open_encode(w: Clopen, n_max: int) -> DenseOpenParam:

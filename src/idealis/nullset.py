@@ -8,17 +8,15 @@ beyond, so every section has measure below 2^-n at every stage no matter
 what the parameter says; the encoder's output is arranged so the guard
 never fires on it.
 
-Each parameter memoizes its guarded scans, one per (row, level cap): the
-guarded terms scanned so far with the accepted total after the last, and
-the stage union and accepted total at each bound asked for.  A total is
-exact and kept as plain ints, a pair (words, e) standing for words / 2^e:
+Each parameter memoizes its guarded scans, one per (row, level cap),
+through ``space._row_states``: state i of row n holds the guarded term
+n+i, the stage union up to it and the accepted total there.  A total is
+exact and kept as two plain ints, words and e, standing for words / 2^e:
 the count of level-e cylinders, where e starts at the row index and
-deepens with the row's terms.  `null_term`,
-`null_stage` and `null_member` all read from it and extend it on demand,
-so each cell of a row is enumerated once per parameter and cap, and a
-lowered cap never meets a scan made under another.  An extension is
-published by storing a new tuple, so threads sharing a parameter at worst
-repeat work.
+deepens with the row's terms.  `null_term`, `null_stage` and
+`null_member` read one state each, so each cell of a row is enumerated
+once per parameter and cap, and a lowered cap never meets a scan made
+under another.
 
 The encoder flattens a family of covers row by row, with a few empty
 slots inserted before each row so that every cut point lands ahead of the
@@ -33,14 +31,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InsufficientPrefix, InvariantViolated, LevelCapExceeded
-from .space import BitWord, Clopen, Tri, check_word, matrix_entry, max_level, pack_rows
+from .errors import InsufficientPrefix, InvariantViolated
+from .space import (
+    BitWord, Clopen, Tri, _row_states, check_word, matrix_entry, max_level, pack_rows,
+)
 from .enumerations import clopen_enum, clopen_rank
 
 # Empty slots placed before each cover row during flattening.  Four is
 # enough to keep every cut point at or before the start of the row whose
 # tail sum drove it; see the encoder invariants in the test suite.
 _PAD = 4
+
+_EMPTY = Clopen.empty()
 
 
 @dataclass(frozen=True)
@@ -101,80 +103,44 @@ class NullParam:
         )
 
 
-def _add_words(total: tuple[int, int], c: Clopen) -> tuple[int, int]:
-    """The (words, e) total plus the measure of `c`, counted at the deeper
-    of e and c's level."""
-    words, e = total
-    if c.level > e:
-        words <<= c.level - e
-        e = c.level
-    return words + (c.mask.bit_count() << (e - c.level)), e
+def _guarded_steps(f: NullParam, n: int, cap: int):
+    """The step of row n's guarded scan under `cap`: state i is the scan
+    up to term n+i, and state 0 the scan before any term.  An empty or
+    blanked term reuses the state before, or its union and total."""
 
-
-def _row_scan(f: NullParam, n: int, k_hi: int, cap: int):
-    """Row n's memo entry under `cap`, scanned at least to k = k_hi.
-
-    The entry is (terms, total, stages): the guarded terms k = n+1, ...,
-    the accepted total after the last of them, and for each bound asked
-    for so far the stage union and the accepted total there.  A scan
-    resumes where the entry stops; a cell that raises leaves the part
-    before it in the entry, so asking again raises the same error at the
-    same k.
-    """
-    key = (n, cap)
-    entry = f._scans.get(key)
-    if entry is not None and len(entry[0]) >= k_hi - n:
-        return entry
-    terms, total, stages = entry or ((), (0, n), {})
-    terms = list(terms)
-    try:
-        for k in range(n + 1 + len(terms), k_hi + 1):
-            cand = clopen_enum(n, matrix_entry(f.prefix, n, k), cap=cap)
-            words, e = grown = _add_words(total, cand)
+    def step(state, i):
+        if not i:
+            return _EMPTY, _EMPTY, 0, n
+        _, union, words, e = state
+        cand = clopen_enum(n, matrix_entry(f.prefix, n, n + i), cap=cap)
+        if cand.mask:
+            # the total plus cand's measure, counted at the deeper level
+            if cand.level > e:
+                words <<= cand.level - e
+                e = cand.level
+            words += cand.mask.bit_count() << (e - cand.level)
             # the budget 2^-n is 2^(e - n) words at level e
             if words < 1 << (e - n):
-                terms.append(cand)
-                total = grown
-            else:
-                terms.append(Clopen.empty())
-    except (InsufficientPrefix, LevelCapExceeded):
-        # Only the errors a cell raises keep the partial scan: those come
-        # before the cell's append, while an interrupt could fall between
-        # the append and the total.
-        f._scans[key] = (tuple(terms), total, stages)
-        raise
-    entry = (tuple(terms), total, stages)
-    f._scans[key] = entry
-    return entry
+                return cand, union.union(cand), words, e
+        return state if state[0] is _EMPTY else (_EMPTY, *state[1:])
 
-
-def _stage(f: NullParam, n: int, k_hi: int, cap: int) -> tuple[Clopen, tuple[int, int]]:
-    """Union and accepted total of row n's guarded terms up to k_hi."""
-    terms, total, stages = _row_scan(f, n, k_hi, cap)
-    if k_hi in stages:
-        return stages[k_hi]
-    start = max((j for j in stages if j < k_hi), default=n)
-    union, accepted = stages[start] if start > n else (Clopen.empty(), (0, n))
-    for term in terms[start - n : k_hi - n]:
-        union = union.union(term)
-        accepted = _add_words(accepted, term)
-    f._scans[(n, cap)] = (terms, total, {**stages, k_hi: (union, accepted)})
-    return union, accepted
+    return step
 
 
 def null_term(f: NullParam, n: int, k: int) -> Clopen:
     """The k-th guarded term of row n."""
     if k <= n:
         raise InsufficientPrefix(n + 1, what="term index")
-    terms, _, _ = _row_scan(f, n, k, max_level())
-    return terms[k - n - 1]
+    cap = max_level()
+    return _row_states(f._scans, (n, cap), k - n, _guarded_steps, f, n, cap)[0]
 
 
 def null_stage(f: NullParam, n: int, k_hi: int) -> Clopen:
     """Union of the guarded terms of row n up to k_hi; measure < 2^-n."""
     if k_hi <= n:
         raise InsufficientPrefix(n + 1, what="stage bound")
-    return _stage(f, n, k_hi, max_level())[0]
+    cap = max_level()
+    return _row_states(f._scans, (n, cap), k_hi - n, _guarded_steps, f, n, cap)[1]
 
 
 def null_member(f: NullParam, z: BitWord, n_levels: int) -> Tri:
@@ -197,16 +163,16 @@ def null_member(f: NullParam, z: BitWord, n_levels: int) -> Tri:
         raise InsufficientPrefix(n_levels + 1, what="witness list")
     check_word(z, len(z))
     cap = max_level()
-    scans = []
+    states = []
     for n, k_hi in enumerate(f.witness):
         if k_hi <= n:
             raise InsufficientPrefix(n + 1, what=f"witness bound for row {n}")
-        scans.append(_stage(f, n, k_hi, cap))
-    if all(stage.covers_cylinder(z) for stage, _ in scans):
+        states.append(_row_states(f._scans, (n, cap), k_hi - n, _guarded_steps, f, n, cap))
+    if all(union.covers_cylinder(z) for _, union, _, _ in states):
         return Tri.HOLDS
     for n in range(n_levels + 1):
-        stage, (words, e) = scans[n]
-        if stage.meets_cylinder(z):
+        _, union, words, e = states[n]
+        if union.meets_cylinder(z):
             continue
         # (2^-n - total) * 2^e <= 2^-len(z) * 2^e, with the right side
         # rounded down: the left is a natural, so rounding changes nothing

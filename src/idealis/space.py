@@ -129,7 +129,7 @@ def _reduce_once(level: int, mask: int) -> tuple[int, int]:
     return level - 1, mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clopen:
     """Canonical finite union of same-level cylinders of Cantor space.
 
@@ -237,8 +237,14 @@ class Clopen:
     # -- boolean algebra -------------------------------------------------
 
     def union(self, other: "Clopen") -> "Clopen":
+        """The union; an operand that holds the other is returned as is."""
         lev = max(self.level, other.level)
-        return Clopen.from_mask(lev, self.mask_at(lev) | other.mask_at(lev))
+        mask = self.mask_at(lev) | other.mask_at(lev)
+        if lev == self.level and mask == self.mask:
+            return self
+        if lev == other.level and mask == other.mask:
+            return other
+        return Clopen.from_mask(lev, mask)
 
     def intersect(self, other: "Clopen") -> "Clopen":
         lev = max(self.level, other.level)
@@ -313,6 +319,8 @@ def pair(m: int, n: int) -> int:
 
 
 def unpair(k: int) -> tuple[int, int]:
+    if k < 0:
+        raise IndexOutOfRange("pairing codes are naturals")
     s = (isqrt(8 * k + 1) - 1) // 2
     n = k - s * (s + 1) // 2
     return s - n, n
@@ -373,33 +381,41 @@ def matrix_entry(f: Sequence[int], n: int, k: int, *, zero_past_end: bool = Fals
     return f[idx]
 
 
-def _prefix_union(
-    memo: dict, key, stage: int, open_row: Callable[[], Callable[[int], Clopen]]
-) -> Clopen:
-    """Union of a row's terms 0..stage, memoized in `memo[key]`.
+def _row_states(memo: dict, key, stage: int, open_row: Callable, *args):
+    """State `stage` of a row, memoized in `memo[key]` as the tuple of
+    states 0..k, where state k is ``step(state k-1, k)`` and state 0 is
+    ``step(None, 0)``.  A stage past k runs ``open_row(*args)``, which
+    returns `step`, then grows the entry from k+1 and stores it once every
+    new step is done: a step that raises stores nothing, so asking again
+    raises the same error.  An entry is only ever replaced whole, so
+    threads sharing a memo at worst repeat work."""
+    states = memo.get(key, ())
+    if stage < len(states):
+        return states[stage]
+    step = open_row(*args)
+    state = states[-1] if states else None
+    grown = []
+    for k in range(len(states), stage + 1):
+        state = step(state, k)
+        grown.append(state)
+    memo[key] = states + tuple(grown)
+    return state
 
-    An entry is the tuple of the row's unions at stages 0..k, built whole
-    by one call: `open_row` first, which reads every cell of the row and
-    returns its term function, so a missing cell is reported before any
-    term can fail; then terms 0..k.  The tuple is stored once every term
-    is built: a term that raises stores nothing, and asking again raises
-    the same error.  ``FsigmaParam.member`` asks for a row's horizon
-    first, so later stages are read from the entry; a stage past k builds
-    the entry again from term 0.  A negative stage is the union of no
-    terms.
-    """
+
+def _union_steps(row_terms: Callable[..., Callable[[int], Clopen]], row, cap: int):
+    """The step of a union state: the union of terms 0..k.  `row_terms`
+    reads every cell of the row and returns its term function, so a
+    missing cell is reported before any term can fail."""
+    term = row_terms(row, cap)
+    return lambda union, k: union.union(term(k)) if k else term(0)
+
+
+def _prefix_union(memo: dict, key, stage: int, row_terms: Callable, row, cap: int) -> Clopen:
+    """Union of terms 0..stage of ``row_terms(row, cap)``, memoized in
+    `memo[key]`; a negative stage is the union of no terms."""
     if stage < 0:
         return Clopen.empty()
-    unions = memo.get(key, ())
-    if stage < len(unions):
-        return unions[stage]
-    term = open_row()
-    union, unions = Clopen.empty(), []
-    for n in range(stage + 1):
-        union = union.union(term(n))
-        unions.append(union)
-    memo[key] = tuple(unions)
-    return union
+    return _row_states(memo, key, stage, _union_steps, row_terms, row, cap)
 
 
 def fsigma_member(
@@ -454,9 +470,10 @@ class FsigmaParam:
         if n_max > self.horizon:
             raise InsufficientPrefix(n_max, what="stage horizon")
         cap = max_level()
+        row_terms = self._row_terms
 
         def stage_union(r: int, n: int) -> Clopen:
-            return _prefix_union(self._unions, (r, cap), n, lambda: self._row_terms(r, cap))
+            return _prefix_union(self._unions, (r, cap), n, row_terms, r, cap)
 
         return fsigma_member(z, rows, n_max, self.horizon, stage_union)
 

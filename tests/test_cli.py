@@ -430,6 +430,11 @@ ROOT_LABEL = json.dumps(
         golden_argv("laver_eval", "--n1", "-3"),
         golden_argv("laver_eval", "--n0", "-1"),
         ["space", "pair", "--m", "-5", "--n", "2"],
+        ["space", "pair", "--invert", "-1"],
+        ["meager", "fxp", "--x", "0101", "--y", "[0,1]", "--z", "0110", "--from-block", "-1"],
+        ["fubini", "diagnose", "--rows", '["01","10"]', "--proxy", "nwd", "--split", "-1"],
+        golden_argv("null_term", "--n", "-5")[:-1] + ["-1"],
+        golden_argv("null_stage", "--n", "-5"),
     ],
     ids=[
         "seq-encode-negative-entry", "seq-decode-negative-code", "laver-eval-negative-entry",
@@ -437,14 +442,15 @@ ROOT_LABEL = json.dumps(
         "e-term-n-past-the-front", "e-term-negative-n", "e-term-n-past-an-index",
         "e-term-negative-x0-cell", "e-term-negative-x1-cell", "e-term-negative-x2-cell",
         "meager-eval-negative-rows", "e-eval-negative-rows", "laver-eval-negative-n1", "laver-eval-negative-n0",
-        "space-pair-negative-m",
+        "space-pair-negative-m", "space-pair-negative-invert", "meager-fxp-negative-from-block",
+        "fubini-diagnose-negative-split", "null-term-negative-row", "null-stage-negative-row",
     ],
 )
 def test_a_negative_entry_position_or_code_is_refused(argv):
     # each used to answer for the natural it aliased through Python's
     # negative indexing, the pairing or the modulus of a rank, to answer
-    # as for zero rows or an empty window, or to escape main as an
-    # IndexError, a ValueError or math.comb's own error
+    # as for zero rows or an empty window, to escape main as an IndexError,
+    # a ValueError or math.comb's own error, or to leak a Python message
     code, out = run_cli(argv)
     assert code == 2 and out.count("\n") == 1
     assert json.loads(out)["error"] == "IndexOutOfRange"

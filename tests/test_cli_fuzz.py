@@ -1,0 +1,162 @@
+"""Mutated golden argvs through ``cli.main``: whatever the flags say, a run
+exits 0, 1 or 2 within a second, lets no exception escape, and prints the
+one document its exit code promises.
+
+Each example starts from the argv of a golden file that does not run
+``check``, which runs whole suites by design, and mutates it one to three
+times: flag values far more often than flag names.  A value becomes a
+number (negative, huge, or not an integer at all), a 0/1 word, a prefix of
+itself, its JSON with one part replaced, or JSON nested thousands deep.  No
+mutation draws ``--help`` or ``--version``, which print text by design, or
+a value starting with ``@``, which names a file to read.
+"""
+
+import io
+import json
+import pathlib
+import time
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from idealis.cli import COMMANDS, main
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+ARGVS = [
+    argv
+    for argv in (json.loads(p.read_text())["argv"] for p in sorted(GOLDEN_DIR.glob("*.json")))
+    if argv[0] != "check"
+]
+FLAGS = sorted({flag for _, _, ops in COMMANDS.values() for flags in ops.values() for flag in flags})
+CHOICES = sorted(
+    {
+        choice
+        for _, _, ops in COMMANDS.values()
+        for flags in ops.values()
+        for keywords in flags.values()
+        for choice in keywords.get("choices", ())
+    }
+)
+
+integers = st.one_of(
+    st.integers(-20, 20),
+    st.integers(-(10**12), 10**12),
+    # Python refuses to convert more than 4300 digits between int and str
+    st.integers(1, 4300).map(lambda digits: 10**digits - 1),
+    st.integers(1, 4299).map(lambda digits: -(10**digits)),
+)
+numbers = integers.map(str)
+scalars = st.one_of(
+    integers,
+    st.text("01", max_size=10),
+    st.sampled_from([None, True, 1.5, 1e308, "x", [], {}, [[0]], {"level": 1}]),
+)
+odd_values = st.sampled_from(["", "1e309", "nan", "inf", "0x1f", "1.5", " 7", "0101x", "[", "{}"])
+
+
+def replace_part(doc, path, value):
+    """`doc` with the part at `path` (keys and indices) replaced."""
+    if not path:
+        return value
+    head, *rest = path
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[head] = replace_part(doc[head], rest, value)
+    return copy
+
+
+def parts(doc, path=()):
+    """Every path into `doc`, the empty path included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from parts(child, (*path, key))
+
+
+@st.composite
+def new_value(draw, old):
+    kinds = ["number", "huge", "word", "odd", "prefix", "nested"]
+    try:
+        doc = json.loads(old)
+    except (ValueError, RecursionError):
+        doc = None
+    if isinstance(doc, (dict, list)):
+        kinds += ["json"] * 6
+    elif isinstance(doc, int):
+        # most integer flags stay integers, so argparse lets them through
+        kinds += ["number"] * 12
+    elif old in CHOICES:
+        kinds += ["choice"] * 6
+    kind = draw(st.sampled_from(kinds))
+    if kind == "number":
+        return draw(numbers)
+    if kind == "huge":
+        # more digits than int() converts
+        return "9" * draw(st.integers(4301, 5000))
+    if kind == "choice":
+        return draw(st.sampled_from(CHOICES))
+    if kind == "word":
+        return draw(st.text("01", max_size=40))
+    if kind == "odd":
+        return draw(odd_values)
+    if kind == "prefix":
+        return old[: draw(st.integers(0, max(len(old) - 1, 0)))]
+    if kind == "nested":
+        depth = draw(st.integers(1, 3000))
+        return "[" * depth + "]" * depth
+    path = draw(st.sampled_from(list(parts(doc))))
+    return json.dumps(replace_part(doc, path, draw(scalars)))
+
+
+@st.composite
+def mutated_argvs(draw):
+    argv = list(draw(st.sampled_from(ARGVS)))
+    for _ in range(draw(st.integers(1, 3))):
+        # argv is command, op, then --flag value pairs
+        flags = list(range(2, len(argv), 2))
+        kind = draw(st.sampled_from(["value"] * 12 + ["drop", "repeat", "rename"]))
+        if not flags:
+            kind = "repeat"
+        if kind == "repeat":
+            flag = draw(st.sampled_from([argv[i] for i in flags] or FLAGS))
+            argv += [flag, draw(new_value("0"))]
+            continue
+        i = draw(st.sampled_from(flags))
+        if kind == "value":
+            argv[i + 1] = draw(new_value(argv[i + 1]))
+        elif kind == "drop":
+            del argv[i : i + 2]
+        else:
+            argv[i] = draw(st.sampled_from(FLAGS + ["--bogus"]))
+    assert not any(a.startswith("@") for a in argv)
+    return argv
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+@settings(
+    max_examples=400, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(mutated_argvs())
+def test_a_mutated_golden_argv_keeps_the_exit_contract(argv):
+    code, out, err, seconds = run(argv)
+    assert seconds < 1.0
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 1 and not out:
+        # an argparse usage error
+        assert err.startswith("usage: ")
+        return
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    if code == 0:
+        assert "error" not in doc
+    else:
+        assert set(doc) == {"error", "detail"}
+        assert (doc["error"] == "MalformedInput") == (code == 1)

@@ -223,18 +223,6 @@ class TestLaverAgainstTheCodeWalk:
                 "phi": [{"seq": list(seq_decode(c)), "val": v} for c, v in p.entries]
             }
 
-    def test_built_from_codes_alone_it_is_the_same_labelling(self):
-        rng = random.Random(162)
-        for _ in range(50):
-            alphabet, phi = random_labelling(rng)
-            p = laver_encode(phi)
-            q = LaverParam(p.entries)
-            assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
-            assert q.seqs == p.seqs and q.to_json() == p.to_json()
-            f = random_f(rng, alphabet, phi)
-            assert [q.label(f[:n]) for n in range(9)] == [p.label(f[:n]) for n in range(9)]
-            assert laver_witnesses(q, f, 0, len(f)) == laver_witnesses(p, f, 0, len(f))
-
     def test_long_codes_are_neither_built_nor_unpicked(self, monkeypatch):
         p = laver_encode({(): 1, (1,) * 16: 1, (1,) * 17: 2, (0, 3): 4})
         assert p.entries[-1][0].bit_length() > 1 << 15

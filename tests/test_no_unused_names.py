@@ -1,8 +1,9 @@
-"""Every public top-level name in ``src/idealis`` has a caller in the
-library: each function, class and constant a module defines is referenced
-somewhere in the package outside its own definition.  A name that only its
-own unit tests call is dead weight.  ``__init__.py`` is left out, and
-methods are out of scope."""
+"""Every top-level name in ``src/idealis``, public or private, has a caller
+in the library: each function, class and constant a module defines is
+referenced somewhere in the package outside its own definition.  A name
+that only its own unit tests call, or a private helper nothing calls any
+more, is dead weight.  ``__init__.py`` is left out, and methods are out of
+scope."""
 
 import ast
 import pathlib
@@ -13,8 +14,8 @@ PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "idealis"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def public_definitions(tree):
-    """(name, node) for each public top-level function, class and constant."""
+def definitions(tree):
+    """(name, node) for each top-level function, class and constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -24,7 +25,7 @@ def public_definitions(tree):
             names = [node.target.id]
         else:
             continue
-        yield from ((name, node) for name in names if not name.startswith("_"))
+        yield from ((name, node) for name in names)
 
 
 def references(tree, skip=None):
@@ -45,12 +46,12 @@ def references(tree, skip=None):
 
 
 def unused_names(trees):
-    """The public names of `trees` (module name -> tree) that nothing in
+    """The top-level names of `trees` (module name -> tree) that nothing in
     them references outside their own definitions."""
     everywhere = {module: set(references(tree)) for module, tree in trees.items()}
     unused = []
     for module, tree in trees.items():
-        for name, node in public_definitions(tree):
+        for name, node in definitions(tree):
             seen = set(references(tree, skip=node))
             seen.update(*(refs for other, refs in everywhere.items() if other != module))
             if name not in seen:
@@ -73,8 +74,8 @@ def test_every_public_name_has_a_caller_in_the_package():
         ("def f():\n    return f()\n", ["m.f"]),
         ("class C:\n    def g(self):\n        return C\n", ["m.C"]),
         ("X = 1\n", ["m.X"]),
-        # private names and methods are out of scope
-        ("def _f():\n    pass\nclass C:\n    def unused(self):\n        pass\nC\n", []),
+        # a private name counts too; methods are out of scope
+        ("def _f():\n    pass\nclass C:\n    def unused(self):\n        pass\nC\n", ["m._f"]),
         # a call, an attribute, an annotation or a string counts as a use
         ("def f():\n    pass\ndef g():\n    f()\ng\n", []),
         ("X = 1\nimport m\nm.X\n", []),

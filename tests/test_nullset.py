@@ -8,7 +8,7 @@ import pytest
 
 from idealis import nullset
 from idealis.checks import random_null_param
-from idealis.errors import InsufficientPrefix, InvariantViolated, LevelCapExceeded
+from idealis.errors import IndexOutOfRange, InsufficientPrefix, InvariantViolated, LevelCapExceeded
 from idealis.enumerations import clopen_enum, clopen_rank
 from idealis.nullset import (
     CoverFamily,
@@ -270,15 +270,7 @@ class TestScanMemo:
                 assert NullParam.from_json(g.to_json()) == g
                 assert hash(NullParam.from_json(g.to_json())) == hash(g)
 
-    def test_short_prefix_raises_the_same_error_again(self, monkeypatch):
-        calls = []
-        real = nullset.clopen_enum
-
-        def counted(n, k, cap=None):
-            calls.append(n)
-            return real(n, k, cap=cap)
-
-        monkeypatch.setattr(nullset, "clopen_enum", counted)
+    def test_short_prefix_raises_the_same_error_again(self):
         (f,) = guarded_params(43, 1)
         cut = pair(2, 9)
         short = NullParam(f.prefix[:cut], f.witness)
@@ -287,18 +279,22 @@ class TestScanMemo:
             with pytest.raises(InsufficientPrefix) as fresh:
                 ask(NullParam(short.prefix, short.witness), query)
             for _ in range(2):
+                memo = dict(short._scans)
                 with pytest.raises(InsufficientPrefix) as again:
                     ask(short, query)
                 assert again.value.required_length == fresh.value.required_length
-        # the cells before each missing one were scanned once and kept: row
-        # 2 by the term and stage queries, row 0 by the member query
+                # a scan that raises stores nothing
+                assert short._scans == memo
+                assert all(short._scans[key] is memo[key] for key in memo)
+        # every term and stage before the missing cell is still the guarded
+        # scan's: row 2 for the term and stage queries, row 0 for the member
         for n in (0, 2):
             last = max(k for k in range(n + 1, 17) if pair(n, k) < cut)
-            want_terms, want_stage = guard_oracle(f, n, last)[0], null_stage(f, n, last)
-            before = len(calls)
-            assert [null_term(short, n, k) for k in range(n + 1, last + 1)] == want_terms
-            assert null_stage(short, n, last) == want_stage
-            assert len(calls) == before
+            want = Clopen.empty()
+            for k, term in zip(range(n + 1, last + 1), guard_oracle(f, n, last)[0]):
+                want = want.union(term)
+                assert null_term(short, n, k) == term
+                assert null_stage(short, n, k) == want
 
     def test_lowered_cap_is_not_served_from_the_memo(self, monkeypatch):
         monkeypatch.setenv("IDEALIS_MAX_LEVEL", "12")
@@ -335,6 +331,18 @@ class TestScanMemo:
         monkeypatch.setenv("IDEALIS_MAX_LEVEL", str(10**9))
         start = time.perf_counter()
         assert [ask(NullParam(f.prefix, f.witness), q) for q in queries] == before
+        assert time.perf_counter() - start < 1.0
+
+    def test_a_far_row_or_bound_costs_nothing_row_sized(self):
+        # a scan starts at the row's first cell, however far the row and
+        # the bound are, so the first missing cell is met at once
+        (f,) = guarded_params(61, 1)
+        start = time.perf_counter()
+        for n, k in ((10**7, 10**60), (10**60, 10**61), (-5, -1)):
+            for query in (("term", n, k), ("stage", n, k)):
+                with pytest.raises((InsufficientPrefix, IndexOutOfRange)):
+                    ask(f, query)
+        assert not f._scans
         assert time.perf_counter() - start < 1.0
 
     def test_shared_instance_across_threads(self):
