@@ -24,7 +24,7 @@ import sys
 
 from . import __version__
 from .errors import CodingMismatch, IdealisError
-from .space import CODING, Clopen, pair, seq_code, seq_decode, unpair
+from .space import CODING, Clopen, _naturals, pair, seq_code, seq_decode, unpair
 
 CREATED_BY = f"idealis {__version__}"
 
@@ -86,7 +86,7 @@ def load_param(doc: dict, expected_ideal):
 
 
 def _baire(values) -> tuple:
-    return tuple(int(v) for v in values)
+    return _naturals(values, True, "sequence entries")
 
 
 def _bits(word: str) -> str:
@@ -126,7 +126,7 @@ def cmd_enum(args) -> dict:
     if args.op == "kprime":
         return {"value": kprime(args.n, args.m, args.space)}
     if args.rank is not None:
-        return {"rank": kcomb_rank(args.N, _arg_json(args.rank))}
+        return {"rank": kcomb_rank(args.N, _naturals(_arg_json(args.rank), True, "subset members"))}
     return {"subset": list(kcomb_unrank(args.N, args.t, args.r))}
 
 
@@ -228,7 +228,7 @@ def cmd_laver(args) -> dict:
 
 def _meager_half(doc) -> tuple:
     # the meager half of a product: its dense opens and n_max
-    return [Clopen.from_json(d) for d in doc["dense_opens"]], int(doc["n_max"])
+    return [Clopen.from_json(d) for d in doc["dense_opens"]], _naturals(doc["n_max"])
 
 
 def cmd_fubini(args) -> dict:
@@ -264,7 +264,8 @@ def cmd_fubini(args) -> dict:
         if args.epsilon is None:
             raise MalformedInput("--proxy null needs --epsilon")
         eps = _arg_json(args.epsilon)
-        proxy = DensityProxy(int(eps["num"]), int(eps["exp"]))
+        # a negative part is DensityProxy's to refuse, as malformed
+        proxy = DensityProxy(*(v if v < 0 else _naturals(v) for v in (eps["num"], eps["exp"])))
     else:
         proxy = SomewhereDenseProxy(args.split)
     flagged = section_diagnostic(rows, proxy)

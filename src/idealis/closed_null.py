@@ -26,6 +26,7 @@ from .space import (
     Clopen,
     FsigmaParam,
     Tri,
+    _naturals,
     _prefix_union,
     _require_level,
     matrix_entry,
@@ -61,7 +62,7 @@ class ETripleParam:
 
     @staticmethod
     def from_json(doc: dict) -> "ETripleParam":
-        prefix, positions = [int(v) for v in doc["prefix"]], int(doc["positions"])
+        prefix, positions = _naturals(doc["prefix"], True), _naturals(doc["positions"])
         return ETripleParam(
             *(tuple(matrix_entry(prefix, i, n) for n in range(positions)) for i in range(3))
         )
@@ -128,8 +129,11 @@ def e_open_encode(v: Clopen, m_max: int) -> ETripleParam:
     The cylinders inside v are read from ``Clopen.inside_masks``, one
     chain of masks built once per call; a level deeper than v's is v's
     mask lifted by ``mask_at``.  Counts are popcounts, and the chosen
-    family is the lowest 1 bits of the lifted level's mask.
+    family is the lowest 1 bits of the lifted level's mask.  A negative
+    `m_max` raises IndexOutOfRange.
     """
+    if m_max < 0:
+        raise IndexOutOfRange("stage bounds are naturals")
     cap = max_level()
     inside = v.inside_masks()
     counts = [mask.bit_count() for mask in inside]
@@ -172,13 +176,13 @@ class EParam(FsigmaParam):
 
     @staticmethod
     def from_triples(triples: Sequence[ETripleParam], horizon: int) -> "EParam":
+        if horizon < 0:
+            raise IndexOutOfRange("stage bounds are naturals")
         if not triples:
             return EParam((), 0, horizon)
         for t in triples:
             if t.positions <= horizon:
                 raise InsufficientPrefix(horizon + 1, what="triple positions")
-        if horizon < 0:
-            raise ValueError("horizon must be non-negative")
         cut = slice(horizon + 1)
         rows = [ETripleParam(t.x0[cut], t.x1[cut], t.x2[cut]).packed() for t in triples]
         return EParam(pack_rows(rows), len(triples), horizon)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InsufficientPrefix
-from .space import BairePrefix, Tri, matrix_entry, pack_rows, pair
+from .errors import IndexOutOfRange, InsufficientPrefix
+from .space import BairePrefix, Tri, _naturals, matrix_entry, pack_rows, pair
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class CountableParam:
 
     @staticmethod
     def from_json(doc: dict) -> "CountableParam":
-        return CountableParam(tuple(int(v) for v in doc["prefix"]), int(doc["rows"]))
+        return CountableParam(_naturals(doc["prefix"], True), _naturals(doc["rows"]))
 
 
 def countable_encode(points: Sequence[BairePrefix], depth: int) -> CountableParam:
@@ -39,8 +39,8 @@ def countable_encode(points: Sequence[BairePrefix], depth: int) -> CountablePara
     for p in points:
         if len(p) < depth:
             raise InsufficientPrefix(depth, what="point")
-    if points and depth < 0:
-        raise ValueError("depth must be non-negative")
+    if depth < 0:
+        raise IndexOutOfRange("window depths are naturals")
     return CountableParam(pack_rows([p[:depth] for p in points]), len(points))
 
 
@@ -59,8 +59,10 @@ def countable_member(y: CountableParam, x: BairePrefix, rows: int, depth: int) -
     HOLDS needs a row agreeing with all of `x`; FAILS needs every row of
     the parameter -- including the all-zero tail rows -- to disagree with
     `x` inside the window [0, depth).  Extending `rows` or `depth` can
-    only resolve UNKNOWN.
+    only resolve UNKNOWN; a negative one raises IndexOutOfRange.
     """
+    if (rows | depth) < 0:
+        raise IndexOutOfRange("row counts and window depths are naturals")
     if depth > len(x):
         raise InsufficientPrefix(depth, what="query point")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import IndexOutOfRange, InsufficientPrefix
-from .space import BairePrefix, seq_code
+from .space import BairePrefix, _naturals, seq_code
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class KsigmaParam:
 
     @staticmethod
     def from_json(doc: dict) -> "KsigmaParam":
-        return KsigmaParam(tuple(int(v) for v in doc["prefix"]))
+        return KsigmaParam(_naturals(doc["prefix"], True))
 
 
 def dominated_from(y: KsigmaParam, x: BairePrefix, n: int) -> bool:
@@ -93,7 +93,7 @@ class LaverParam:
     @staticmethod
     def from_json(doc: dict) -> "LaverParam":
         phi = {
-            tuple(int(a) for a in item["seq"]): int(item["val"])
+            _naturals(item["seq"], True, "sequence entries"): _naturals(item["val"])
             for item in doc["phi"]
         }
         return laver_encode(phi)

@@ -1,19 +1,18 @@
 """Canonical enumerations consumed by the universal-set constructions.
 
 The master clopen enumeration orders canonical clopen sets by
-(canonical level, word-set bitmask value).  Ranking and unranking count
-completions with binomial prefix sums T(b, q) = C(b, 0) + ... + C(b, q),
-the combinatorial number system, so both stay exact far past the range
-where brute-force scans are possible.  Ranking visits only the mask's 1
-bits, not its 2^level positions, and reads the sums there from the
-``_tsum`` memo.  Unranking starts at the top 1 bit when the rank's own
-length gives it away, and otherwise at the lowest memoized rung above
-the top 1 bit, one of at most 64 start values per (level, n) found by
-bisecting the counts of masks that are 0 from each rung up; it carries
-the sums from one digit to the next in O(1) big-integer operations and
-stops as soon as the rest of the rank is the rest of the mask.
-Enumerated sets are memoized together with the level cap they were
-computed under.
+(canonical level, word-set bitmask value).  Ranking and unranking are one
+walk down the mask's positions that counts completions with binomial
+prefix sums T(b, q) = C(b, 0) + ... + C(b, q), the combinatorial number
+system, so both stay exact far past the range where brute-force scans
+are possible.  The walk carries the sums from one position to the next
+in O(1) big-integer operations.  It starts at the top 1 bit when the
+budget or the rank's length gives it away, and otherwise at one of at
+most 64 rungs per (level, n), at most one stride above that bit; it
+stops as soon as the rest is the rest of the mask.  Two memos keep its
+counts, one entry per (level, n) each: the level's size with the start
+values at its top, and the rungs.  Enumerated sets are memoized together
+with the level cap they were computed under.
 Basic open sets, the nonempty-basic-subset index and
 combinadic subset (un)ranking, on member masks with tuple wrappers, live
 here as well.  A t-subset of {0..n-1} and its lex rank are read through
@@ -27,7 +26,7 @@ exact comparisons.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lgamma, log, perm
@@ -65,12 +64,6 @@ def _binomial_prefix(b: int, q: int) -> tuple[int, int]:
     return total, term
 
 
-@lru_cache(maxsize=1 << 16)
-def _tsum(b: int, q: int) -> int:
-    """Number of b-bit masks with population count at most q (ranking only)."""
-    return _binomial_prefix(b, q)[0]
-
-
 def _popcount_budget(level: int, n: int) -> int:
     # measure < 2^-n at `level` means word count < 2^(level-n)
     return (1 << (level - n)) - 1 if level > n else 0
@@ -101,7 +94,7 @@ def _level_count(level: int, n: int) -> int:
 
 @lru_cache(maxsize=1 << 8)
 def _level_ladder(level: int, n: int) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """Rungs for ``_unrank_in_level`` to start at, lowest first.
+    """Rungs for ``_level_walk`` to start at, lowest first.
 
     A rung is the walk's start values (p, T(p, q), C(p, q), T(p // 2,
     q // 2), C(p // 2, q // 2)) at an odd position p under an all-zero
@@ -110,8 +103,7 @@ def _level_ladder(level: int, n: int) -> tuple[tuple[int, ...], tuple[tuple, ...
     are the ascending counts G(p) = T(p, q) - T(p // 2, q // 2) of the
     masks that are 0 at p and above: a rank r has its top 1 bit at or
     above p exactly when G(p) <= r.  One walk from the top's start values
-    over the zero prefix fills both, with the same carries as the unrank
-    walk.
+    over the zero prefix fills both, with the same carries as that walk.
     """
     q = _popcount_budget(level, n)
     top = (1 << level) - 1
@@ -141,44 +133,56 @@ def _level_ladder(level: int, n: int) -> tuple[tuple[int, ...], tuple[tuple, ...
         p -= 1
 
 
-def _unrank_in_level(level: int, n: int, r: int) -> int:
-    """The mask of rank ``r`` within its level, read from the top bit.
+def _level_walk(level: int, n: int, r: int, given: int | None = None) -> tuple[int, int]:
+    """The mask of rank ``r`` within its level, as (mask, 0); with a mask
+    ``given``, each bit is read from it instead and the walk returns
+    (given, r - rank), so ``r = 0`` ranks it.
 
-    The same count as ``_rank_in_level``, but every step needs it, so
-    T(p, q) and T(p // 2, q // 2) are carried from the step before with
-    their binomials C(p, q) and C(p // 2, q // 2), each q clamped to its p,
-    in O(1) big-integer operations and no memo entries:
+    Masks count within the popcount budget q, minus those whose sibling
+    pairs all agree.  At each 1 bit from the top the walk subtracts the
+    completions that put 0 there.  It carries T(p, q) and T(p // 2, q // 2)
+    with their binomials C(p, q) and C(p // 2, q // 2), each q clamped to
+    its p, from step to step in O(1) big-integer operations:
     C(p - 1, q) = C(p, q)(p - q)/p,  T(p - 1, q) = (T(p, q) + C(p - 1, q))/2,
     T(p, q - 1) = T(p, q) - C(p, q),  C(p, q - 1) = C(p, q) q/(p - q + 1).
 
-    The walk skips both runs of zeros it can read off ``r``.  When ``r``
-    has b <= q bits, every mask below 2^b is within the budget and all
-    but the 2^(b // 2) whose pairs agree come first, so the top 1 bit is
-    at b or b - 1 and the walk starts there.  Otherwise it starts at the
-    lowest rung of ``_level_ladder`` whose count G(p) exceeds ``r`` (the
-    top rung when none does): G(p) <= r is the walk's own test for a 1 bit
-    at p under a zero prefix, so no 1 bit lies at that rung or above it,
-    and the walk runs at most one stride of zeros before the top 1 bit.
-    Once a sibling pair disagrees, the first 2^q completions are the
-    numbers below 2^q, so a remaining rank of at most q bits is the rest
-    of the mask as it stands.
+    It skips both runs of zeros.  A top 1 bit at most q is the start: a
+    given mask shows it, and a rank of b <= q bits puts it at b or b - 1,
+    as every mask below 2^b is within the budget and all but the
+    2^(b // 2) whose pairs agree come first.  Otherwise the walk starts at
+    the lowest ``_level_ladder`` rung at or above a given mask's top 1 bit,
+    or the lowest whose count G(p) exceeds ``r`` (the top rung when none
+    does), G(p) <= r being the walk's own test for a 1 bit at p under a
+    zero prefix; so at most one stride of zeros comes first.  Once a
+    sibling pair disagrees, the first 2^q completions are the numbers
+    below 2^q, so a rest of at most q bits, the rank left or the given
+    mask's low bits, is the rest of the mask and of its rank.
     """
     q = _popcount_budget(level, n)
-    b = r.bit_length()
-    if b < (1 << level) - 1 and b <= q:
-        p = b if r >= (1 << b) - (1 << (b >> 1)) else b - 1
+    if given is None:
+        b = r.bit_length()
+        short = b <= q
+        if short:
+            p = b if r >= (1 << b) - (1 << (b >> 1)) else b - 1
+    else:
+        p = given.bit_length() - 1
+        short = p <= q
+    if short:
         t, c, th, ch = 1 << p, 1, 1 << (p >> 1), 1
         pend = None if p % 2 else 0
     else:
         counts, rungs = _level_ladder(level, n)
-        p, t, c, th, ch = rungs[min(bisect_right(counts, r), len(rungs) - 1)]
+        if given is None:
+            p, t, c, th, ch = rungs[min(bisect_right(counts, r), len(rungs) - 1)]
+        else:
+            p, t, c, th, ch = rungs[bisect_left(rungs, (p,))]
         pend = None
     mask = 0
     while True:
         # every closed pair agrees: the completions that keep agreeing
         # (pend is 0 or None) pair up over the p // 2 pairs left
         with_zero = t if pend == 1 else t - th
-        bit = r >= with_zero
+        bit = r >= with_zero if given is None else given >> p & 1
         if bit:
             mask |= 1 << p
             r -= with_zero
@@ -189,8 +193,8 @@ def _unrank_in_level(level: int, n: int, r: int) -> int:
                 th, ch = th - ch, ch * hq // (hp - hq + 1)
             q -= 1
         if p == 0:
-            assert q >= 0 and r == 0
-            return mask
+            assert q >= 0 and (r == 0 or given is not None)
+            return mask, r
         if q >= p:
             t, c = t >> 1, 1
         else:
@@ -209,53 +213,21 @@ def _unrank_in_level(level: int, n: int, r: int) -> int:
                 ch = ch * (hp - hq) // hp
                 th = (th + ch) >> 1
         p -= 1
-    # a pair disagrees: every completion within the budget counts
+    # a pair disagrees: every completion within the budget counts, and
+    # the rest fits in q bits by p = 0 at the latest
     while True:
         p -= 1
-        if r.bit_length() <= q:
-            assert r < 2 << p
-            return mask | r
-        if r >= t:
+        rest = r if given is None else given & (2 << p) - 1
+        if rest.bit_length() <= q:
+            assert rest < 2 << p
+            return mask | rest, r - rest
+        if r >= t if given is None else given >> p & 1:
             mask |= 1 << p
             r -= t
             t, c = t - c, c * q // (p - q + 1)
             q -= 1
-        if p == 0:
-            assert q >= 0 and r == 0
-            return mask
         c = c * (p - q) // p
         t = (t + c) >> 1
-
-
-def _rank_in_level(level: int, n: int, mask: int) -> int:
-    """Rank ``mask`` within its level.
-
-    Visits only the 1 bits, from the top; at each the rank gains the masks
-    that agree above it and put 0 there, read from the ``_tsum`` memo.
-    Masks count within the popcount budget ``q``, minus those whose
-    sibling pairs all agree, and the pair state needs no walk over the
-    zeros: a 1 bit at an odd p opens its pair, one at an even p closes the
-    pair whose high bit is its partner ``p ^ 1``, and ``uniform`` (every
-    closed pair above agrees) turns False at the first 1 bit whose
-    partner is 0.
-    """
-    q = _popcount_budget(level, n)
-    uniform = True
-    rank = 0
-    rest = mask
-    while rest:
-        p = rest.bit_length() - 1
-        rest ^= 1 << p
-        partner = mask >> (p ^ 1) & 1
-        rank += _tsum(p, q)
-        if uniform and (p % 2 or not partner):
-            # no pair is open, or the open pair's high bit is 0: the
-            # agreeing completions pair up over the p // 2 pairs left
-            rank -= _tsum(p // 2, q // 2)
-        q -= 1
-        uniform = uniform and partner
-    assert q >= 0
-    return rank
 
 
 @lru_cache(maxsize=1 << 16)
@@ -269,7 +241,7 @@ def _clopen_enum(n: int, k: int, cap: int) -> Clopen:
     while True:
         c = _level_count(level, n)
         if r < c:
-            return Clopen(level, _unrank_in_level(level, n, r))
+            return Clopen(level, _level_walk(level, n, r)[0])
         r -= c
         level += 1
         if level > cap:
@@ -299,7 +271,7 @@ def clopen_rank(n: int, c: Clopen) -> int:
     k = 1
     for lev in range(1, c.level):
         k += _level_count(lev, n)
-    return k + _rank_in_level(c.level, n, c.mask)
+    return k - _level_walk(c.level, n, 0, c.mask)[1]
 
 
 # -- basic open sets --------------------------------------------------------

@@ -180,9 +180,9 @@ class MeagerParam(FsigmaParam):
 
 def meager_encode(dense_opens: Sequence[Clopen], n_max: int) -> MeagerParam:
     """Pack one dense-open parameter per listed set."""
+    if n_max < 0:
+        raise IndexOutOfRange("stage bounds are naturals")
     rows = [dense_open_encode(w, n_max).prefix for w in dense_opens]
-    if rows and n_max < 0:
-        raise ValueError("n_max must be non-negative")
     return MeagerParam(pack_rows(rows), len(rows), n_max)
 
 

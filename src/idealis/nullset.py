@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .errors import InsufficientPrefix, InvariantViolated
 from .space import (
-    BitWord, Clopen, Tri, _row_states, check_word, matrix_entry, max_level, pack_rows,
+    BitWord, Clopen, Tri, _naturals, _row_states, check_word, matrix_entry, max_level, pack_rows,
 )
 from .enumerations import clopen_enum, clopen_rank
 
@@ -97,10 +97,7 @@ class NullParam:
 
     @staticmethod
     def from_json(doc: dict) -> "NullParam":
-        return NullParam(
-            tuple(int(v) for v in doc["prefix"]),
-            tuple(int(v) for v in doc.get("witness", [])),
-        )
+        return NullParam(_naturals(doc["prefix"], True), _naturals(doc.get("witness", []), True))
 
 
 def _guarded_steps(f: NullParam, n: int, cap: int):

@@ -51,6 +51,19 @@ def _require_level(level: int, cap: int | None = None) -> None:
         raise LevelCapExceeded(level, cap)
 
 
+def _naturals(value, many: bool = False, what: str = "parameter entries"):
+    """A natural read from JSON, or with `many` the tuple of an array of
+    them.  A bool, float, string or null where a natural belongs raises
+    TypeError, and a negative int IndexOutOfRange, "`what` are naturals"."""
+    values = tuple(value) if many else (value,)
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{what} are naturals, not {type(v).__name__}")
+        if v < 0:
+            raise IndexOutOfRange(f"{what} are naturals")
+    return values if many else value
+
+
 class Tri(Enum):
     """Three-valued stage answer.
 
@@ -294,7 +307,7 @@ class Clopen:
 
     @staticmethod
     def from_json(doc: dict) -> "Clopen":
-        return canonicalize(int(doc["level"]), doc["words"])
+        return canonicalize(_naturals(doc["level"], what="clopen levels"), doc["words"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Clopen(level={self.level}, words={self.words()})"
@@ -482,4 +495,5 @@ class FsigmaParam:
 
     @classmethod
     def from_json(cls, doc: dict):
-        return cls(tuple(int(v) for v in doc["prefix"]), int(doc["rows"]), int(doc["horizon"]))
+        prefix = _naturals(doc["prefix"], True)
+        return cls(prefix, _naturals(doc["rows"]), _naturals(doc["horizon"]))

@@ -399,6 +399,49 @@ KSIGMA_PARAM = golden_param("ksigma_eval")
 E_TRIPLE = golden_param("e_term")
 
 
+def json_argv(name, flag, key, value):
+    # a golden's argv with one key of one flag's JSON value replaced
+    argv = golden_argv(name)
+    i = argv.index(flag) + 1
+    argv[i] = json.dumps({**json.loads(argv[i]), key: value})
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        golden_argv("countable_eval_holds", "--x", "[5.9,0,true]"),
+        golden_argv("ksigma_eval", "--x", '[1.9,"1",true,-3]'),
+        golden_argv("space_seq_encode", "--encode", "[1,true]"),
+        golden_argv("enum_kcomb_rank", "--rank", "[true,3]"),
+        golden_argv("fubini_diagnose_null", "--epsilon", '{"num":1.5,"exp":3}'),
+        golden_argv("fubini_diagnose_null", "--epsilon", '{"num":true,"exp":3}'),
+        json_argv("meager_eval", "--param", "horizon", 3.9),
+        json_argv("meager_eval", "--param", "rows", "2"),
+        json_argv("countable_eval_holds", "--param", "prefix", [5, 1, 0, 0, 1.0, 2, 0, 0, 1]),
+        json_argv("null_eval", "--param", "witness", [10, None]),
+        json_argv("e_eval", "--param", "positions", True),
+        json_argv("space_measure", "--clopen", "level", 3.0),
+        ["laver", "encode", "--phi", '[{"seq":[0],"val":3.5}]'],
+        ["laver", "encode", "--phi", '[{"seq":["0"],"val":3}]'],
+        ["fubini", "encode", "--variant", "mn", "--x-part", '{"dense_opens":[],"n_max":2.5}',
+         "--plane-part", '{"covers":[]}'],
+    ],
+    ids=[
+        "countable-x-float-bool", "ksigma-x-float-string-bool", "seq-encode-bool", "kcomb-rank-bool",
+        "epsilon-float", "epsilon-bool", "meager-horizon-float", "meager-rows-string",
+        "countable-prefix-float", "null-witness-null", "e-positions-bool", "clopen-level-float",
+        "laver-val-float", "laver-seq-string", "fubini-n-max-float",
+    ],
+)
+def test_a_json_value_that_is_not_an_int_is_malformed(argv):
+    # each used to stand, through int(), for the natural it rounds or
+    # parses to, and answer
+    code, out = run_cli(argv)
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out)["error"] == "MalformedInput"
+
+
 def e_term_with_cell(cell, value, n):
     # the e_term golden's triple with one prefix cell replaced, read at n;
     # position n's coordinate i sits at cell pair(i, n)
@@ -435,6 +478,20 @@ ROOT_LABEL = json.dumps(
         ["fubini", "diagnose", "--rows", '["01","10"]', "--proxy", "nwd", "--split", "-1"],
         golden_argv("null_term", "--n", "-5")[:-1] + ["-1"],
         golden_argv("null_stage", "--n", "-5"),
+        golden_argv("countable_eval_holds") + ["--rows", "-1"],
+        golden_argv("countable_eval_holds", "--depth", "-1"),
+        golden_argv("e_encode", "--m-max", "-1"),
+        golden_argv("meager_encode", "--n-max", "-1"),
+        golden_argv("countable_encode", "--depth", "-1"),
+        golden_argv("e_pack", "--horizon", "-1"),
+        ["meager", "encode", "--dense-opens", "[]", "--n-max", "-1"],
+        ["countable", "encode", "--points", "[]", "--depth", "-1"],
+        ["e", "pack", "--triples", "[]", "--horizon", "-1"],
+        golden_argv("countable_eval_holds", "--x", "[5,0,-2]"),
+        golden_argv("ksigma_eval", "--x", "[1,1,1,-3]"),
+        json_argv("countable_eval_holds", "--param", "rows", -7),
+        json_argv("space_measure", "--clopen", "level", -3),
+        golden_argv("enum_kcomb_rank", "--rank", "[-1,3]"),
     ],
     ids=[
         "seq-encode-negative-entry", "seq-decode-negative-code", "laver-eval-negative-entry",
@@ -444,13 +501,20 @@ ROOT_LABEL = json.dumps(
         "meager-eval-negative-rows", "e-eval-negative-rows", "laver-eval-negative-n1", "laver-eval-negative-n0",
         "space-pair-negative-m", "space-pair-negative-invert", "meager-fxp-negative-from-block",
         "fubini-diagnose-negative-split", "null-term-negative-row", "null-stage-negative-row",
+        "countable-eval-negative-rows", "countable-eval-negative-depth", "e-encode-negative-m-max",
+        "meager-encode-negative-n-max", "countable-encode-negative-depth", "e-pack-negative-horizon",
+        "meager-encode-nothing-negative-n-max", "countable-encode-nothing-negative-depth",
+        "e-pack-nothing-negative-horizon",
+        "countable-eval-negative-entry", "ksigma-eval-negative-entry", "countable-param-negative-rows",
+        "clopen-negative-level", "kcomb-rank-negative-member",
     ],
 )
 def test_a_negative_entry_position_or_code_is_refused(argv):
     # each used to answer for the natural it aliased through Python's
     # negative indexing, the pairing or the modulus of a rank, to answer
-    # as for zero rows or an empty window, to escape main as an IndexError,
-    # a ValueError or math.comb's own error, or to leak a Python message
+    # as for zero rows or an empty window, to write a parameter with no
+    # stages, to escape main as an IndexError, a ValueError or math.comb's
+    # own error, or to leak a Python message as MalformedInput
     code, out = run_cli(argv)
     assert code == 2 and out.count("\n") == 1
     assert json.loads(out)["error"] == "IndexOutOfRange"

@@ -1,6 +1,8 @@
 """Mutated golden argvs through ``cli.main``: whatever the flags say, a run
 exits 0, 1 or 2 within a second, lets no exception escape, and prints the
-one document its exit code promises.
+one document its exit code promises.  A run does not exit 0 when a JSON
+argument holds a float, bool, string, null or negative int where the
+golden's held a natural.
 
 Each example starts from the argv of a golden file that does not run
 ``check``, which runs whole suites by design, and mutates it one to three
@@ -107,9 +109,49 @@ def new_value(draw, old):
     return json.dumps(replace_part(doc, path, draw(scalars)))
 
 
+MISSING = object()
+
+
+def at(doc, path):
+    """The part of `doc` at `path`, or MISSING."""
+    for key in path:
+        if isinstance(doc, dict) and key in doc:
+            doc = doc[key]
+        elif isinstance(doc, list) and isinstance(key, int) and key < len(doc):
+            doc = doc[key]
+        else:
+            return MISSING
+    return doc
+
+
+def breaks_a_natural(golden, argv):
+    """Does a JSON argument of `argv` put a non-natural where the same
+    flag's JSON array or object in `golden` held a natural?  A flag's last
+    value is the one argparse keeps; a flag that takes one number, such as
+    ``--n-max``, keeps its own answers."""
+    old, new = (dict(zip(a[2::2], a[3::2])) for a in (golden, argv))
+    for flag in old.keys() & new.keys():
+        try:
+            before, after = json.loads(old[flag]), json.loads(new[flag])
+        except (ValueError, RecursionError):
+            continue
+        if not isinstance(before, (dict, list)):
+            continue
+        for path in parts(before):
+            natural = at(before, path)
+            if type(natural) is int and natural >= 0:
+                value = at(after, path)
+                if isinstance(value, (bool, float, str)) or value is None:
+                    return True
+                if type(value) is int and value < 0:
+                    return True
+    return False
+
+
 @st.composite
 def mutated_argvs(draw):
-    argv = list(draw(st.sampled_from(ARGVS)))
+    golden = draw(st.sampled_from(ARGVS))
+    argv = list(golden)
     for _ in range(draw(st.integers(1, 3))):
         # argv is command, op, then --flag value pairs
         flags = list(range(2, len(argv), 2))
@@ -128,7 +170,7 @@ def mutated_argvs(draw):
         else:
             argv[i] = draw(st.sampled_from(FLAGS + ["--bogus"]))
     assert not any(a.startswith("@") for a in argv)
-    return argv
+    return golden, argv
 
 
 def run(argv):
@@ -144,7 +186,8 @@ def run(argv):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(mutated_argvs())
-def test_a_mutated_golden_argv_keeps_the_exit_contract(argv):
+def test_a_mutated_golden_argv_keeps_the_exit_contract(case):
+    golden, argv = case
     code, out, err, seconds = run(argv)
     assert seconds < 1.0
     assert code in (0, 1, 2)
@@ -157,6 +200,7 @@ def test_a_mutated_golden_argv_keeps_the_exit_contract(argv):
     doc = json.loads(out)
     if code == 0:
         assert "error" not in doc
+        assert not breaks_a_natural(golden, argv)
     else:
         assert set(doc) == {"error", "detail"}
         assert (doc["error"] == "MalformedInput") == (code == 1)

@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealis import enumerations
+from idealis.checks import brute_master_order
 from idealis.errors import IndexOutOfRange, LevelCapExceeded, MeasureTooLarge
 from idealis.enumerations import (
     BAIRE_KPRIME_BITS,
@@ -16,11 +18,8 @@ from idealis.enumerations import (
     _digit_guess,
     _level_count,
     _level_ladder,
-    _level_start,
+    _level_walk,
     _popcount_budget,
-    _rank_in_level,
-    _tsum,
-    _unrank_in_level,
     basic_open,
     basic_open_baire,
     basic_open_cantor,
@@ -48,24 +47,35 @@ def random_canonical(rng, level, n, ones=None):
             return Clopen(level, mask)
 
 
+def unrank_in_level(level, n, r):
+    return _level_walk(level, n, r)[0]
+
+
+def rank_in_level(level, n, mask):
+    return -_level_walk(level, n, 0, mask)[1]
+
+
 class TestTsum:
+    """T(b, q), the binomial prefix sum ``_binomial_prefix`` returns first."""
+
     def test_matches_binomial_prefix_sums(self):
         for b in range(65):
             for q in range(-1, b + 2):
-                assert _tsum(b, q) == sum(comb(b, j) for j in range(q + 1))
+                assert _binomial_prefix(b, q)[0] == sum(comb(b, j) for j in range(q + 1))
 
     @pytest.mark.parametrize("b", [1024, 2048, 4096])
     def test_wide_masks(self, b):
         prefix = list(itertools.accumulate(comb(b, j) for j in range(b)))
         for q in (0, 1, b // 2 - 1, b // 2, b - 1):
-            assert _tsum(b, q) == prefix[q]
+            assert _binomial_prefix(b, q)[0] == prefix[q]
 
     def test_prefix_carries_its_last_binomial(self):
         # q is clamped to b, so q >= b gives the single full mask's C(b, b)
         for b in range(40):
             assert _binomial_prefix(b, -1) == (0, 0)
             for q in range(b + 2):
-                assert _binomial_prefix(b, q) == (_tsum(b, q), comb(b, min(q, b)))
+                total = sum(comb(b, j) for j in range(q + 1))
+                assert _binomial_prefix(b, q) == (total, comb(b, min(q, b)))
 
 
 class TestClopenEnum:
@@ -92,14 +102,6 @@ class TestClopenEnum:
         for n in range(4):
             for k in range(500):
                 assert clopen_rank(n, clopen_enum(n, k)) == k
-
-    def test_cold_unrank_fills_no_tsum_entries(self):
-        for memo in (_tsum, _level_start, _level_ladder, clopen_enum):
-            memo.cache_clear()
-        first = 1 + sum(_level_count(level, 1) for level in range(1, 12))
-        c = clopen_enum(1, first + _level_count(12, 1) // 3, cap=12)
-        assert c.level == 12
-        assert _tsum.cache_info().currsize == 0
 
     def test_first_and_last_rank_of_every_level_round_trip(self):
         # at n = 0 the budget starts equal to the top position (the
@@ -164,8 +166,8 @@ def enumeration_digest():
     for level in range(1, 4):
         for n in range(level + 1):
             for r in range(_level_count(level, n)):
-                mask = _unrank_in_level(level, n, r)
-                put(level, n, r, mask, _rank_in_level(level, n, mask))
+                mask = unrank_in_level(level, n, r)
+                put(level, n, r, mask, rank_in_level(level, n, mask))
     rng = random.Random(9)
     for level in range(4, 12):
         for n in range(level):
@@ -176,12 +178,28 @@ def enumeration_digest():
                 if level >= 10 and q + 2 < b < top and b % 64:
                     continue
                 r = rng.randrange(1 << b >> 1, min(1 << b, count))
-                put(level, n, r, _unrank_in_level(level, n, r))
-            put(level, n, count - 1, _unrank_in_level(level, n, count - 1))
+                put(level, n, r, unrank_in_level(level, n, r))
+            put(level, n, count - 1, unrank_in_level(level, n, count - 1))
             for _ in range(4):
                 mask = Clopen.cylinder(index_word(rng.getrandbits(level), level)).mask
-                put(level, n, mask, _rank_in_level(level, n, mask))
+                put(level, n, mask, rank_in_level(level, n, mask))
     return h.hexdigest()
+
+
+@lru_cache(maxsize=None)
+def masks_within(b, q):
+    """The b-bit masks with at most q ones: the binomials C(b, j) carried
+    one from the last, over the shorter side, 2^b minus the masks with at
+    least q + 1 ones when that side is the ones' complement."""
+    if q < 0:
+        return 0
+    if 2 * q >= b:
+        return (1 << b) - masks_within(b, b - q - 1)
+    term = total = 1
+    for j in range(q):
+        term = term * (b - j) // (j + 1)
+        total += term
+    return total
 
 
 def rank_by_every_position(level, n, mask):
@@ -193,9 +211,9 @@ def rank_by_every_position(level, n, mask):
     for p in range((1 << level) - 1, -1, -1):
         bit = mask >> p & 1
         if bit:
-            rank += _tsum(p, q)
+            rank += masks_within(p, q)
             if uniform and pend != 1:
-                rank -= _tsum(p // 2, q // 2)
+                rank -= masks_within(p // 2, q // 2)
             q -= 1
         if p % 2:
             pend = bit
@@ -218,7 +236,7 @@ def paired_mask(rng, level, n):
 class TestLevelWalks:
     def test_pinned_digest(self):
         # generated by the walks over every position, before the
-        # set-bit walks replaced them
+        # carried walk replaced them
         assert enumeration_digest() == (
             "3a718b7b1392443171c6f50b469f35312dca4a4f86a499590293960a4cca5baf"
         )
@@ -234,8 +252,8 @@ class TestLevelWalks:
                         masks.append(random_canonical(rng, level, n, ones).mask)
                 for mask in masks:
                     want = rank_by_every_position(level, n, mask)
-                    assert _rank_in_level(level, n, mask) == want
-                    assert _unrank_in_level(level, n, want) == mask
+                    assert rank_in_level(level, n, mask) == want
+                    assert unrank_in_level(level, n, want) == mask
 
     def test_ranks_at_every_rung_boundary(self):
         # G(p) <= r is the walk's own test for a 1 bit at rung p, so the
@@ -251,9 +269,42 @@ class TestLevelWalks:
             for g in counts:
                 for r in (g - 1, g, g + 1):
                     if 0 <= r < count:
-                        mask = _unrank_in_level(level, n, r)
+                        mask = unrank_in_level(level, n, r)
                         assert rank_by_every_position(level, n, mask) == r
-                        assert _rank_in_level(level, n, mask) == r
+                        assert rank_in_level(level, n, mask) == r
+            # a rank starts at the lowest rung at or above the top 1 bit,
+            # or at that bit when it is at most the budget
+            q = _popcount_budget(level, n)
+            tops = {p + d for p, *_ in rungs for d in (0, 1)} | {q, q + 1}
+            for top in sorted(t for t in tops if 1 < t < 1 << level):
+                for mask in (1 << top, 1 << top | 1):
+                    c = Clopen.from_mask(level, mask)
+                    if c.level == level and mask.bit_count() <= q:
+                        r = rank_by_every_position(level, n, mask)
+                        assert rank_in_level(level, n, mask) == r
+                        assert unrank_in_level(level, n, r) == mask
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_walk_matches_brute_force_master_order(self, n):
+        cap = 4 if n else 3
+        oracle = brute_master_order(n, cap)
+        for k, c in enumerate(oracle, start=1):
+            assert clopen_enum(n, k, cap) == c
+            assert clopen_rank(n, c) == k
+        with pytest.raises(LevelCapExceeded):
+            clopen_enum(n, len(oracle) + 1, cap)
+
+    def test_dense_deep_set_round_trips(self):
+        # a level-12 set of 2,039 words spends almost all of the budget
+        # 2^11 - 1 at n = 1, so the walk counts past nearly every position
+        rng = random.Random(12)
+        first = 1 + sum(_level_count(level, 1) for level in range(1, 12))
+        for _ in range(2):
+            c = random_canonical(rng, 12, 1, 2039)
+            k = clopen_rank(1, c)
+            assert first <= k < first + _level_count(12, 1)
+            assert clopen_enum(1, k, cap=12) == c
+            assert clopen_rank(1, clopen_enum(1, k + 1, cap=12)) == k + 1
 
     def test_every_cylinder_round_trips(self):
         for level in range(1, 10):
