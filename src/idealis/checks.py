@@ -27,7 +27,6 @@ from .enumerations import (
 )
 from .countable import countable_encode, countable_member
 from .meager import (
-    DenseOpenParam,
     MeagerParam,
     dense_open_encode,
     dense_section_stage,
@@ -270,7 +269,7 @@ def suite_meager_density(seed, prefixes=40, encoders=12, entry_bound=40, every_s
 
     bad = cases = 0
     for _ in range(prefixes):
-        x = DenseOpenParam(tuple(rng.randrange(entry_bound) for _ in range(11)))
+        x = tuple(rng.randrange(entry_bound) for _ in range(11))
         for horizon in range(1 if every_stage else 10, 11):
             stage = dense_section_stage(x, horizon)
             cases += 1

@@ -9,16 +9,17 @@ shallow for the subset size to be an integer, so the term measure
 1 - 2^-m survives arbitrary parameters and every stage union is full up
 to an error of 2^-n_max unconditionally.  Membership in the union of
 the rows' complements is decided through ``space.FsigmaParam``: ``EParam``
-says only how a row becomes its E terms, and shares its format, memo and
-evaluator with the meager parameter ``MeagerParam``.
+says only how a row becomes its E terms, and shares its format, memo
+(``FsigmaParam.stage_union``) and evaluator (``FsigmaParam.member``)
+with the meager parameter ``MeagerParam``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
+from functools import reduce
 from math import comb
+from typing import Callable, Sequence
 
 from .errors import IndexOutOfRange, InsufficientPrefix, InsufficientResolution
 from .space import (
@@ -27,7 +28,6 @@ from .space import (
     FsigmaParam,
     Tri,
     _naturals,
-    _prefix_union,
     _require_level,
     matrix_entry,
     max_level,
@@ -100,8 +100,8 @@ def e_open_stage(p: ETripleParam, n_max: int) -> Clopen:
     """Union of the first n_max + 1 terms; measure at least 1 - 2^-n_max."""
     if n_max >= p.positions:
         raise InsufficientPrefix(n_max + 1)
-    cap = max_level()
-    return _prefix_union({}, None, n_max, _e_terms, p, cap)
+    term = _e_terms(p, max_level())
+    return reduce(Clopen.union, map(term, range(n_max + 1)), Clopen.empty())
 
 
 def _lowest_ones(mask: int, k: int) -> int:
@@ -195,9 +195,10 @@ def e_fsigma_member(p: EParam, z: BitWord, rows: int, n_max: int) -> Tri:
     """Membership of the cylinder of `z` in the union of the rows'
     co-full complements at stage.
 
-    HOLDS when `z` avoids some row's open union over the parameter's
-    whole horizon; FAILS when `z` sits inside every row's union already
-    at `n_max`.  Raising `n_max` within the horizon only resolves
-    UNKNOWN.
+    HOLDS when `z` avoids the open union of one of the first `rows` rows
+    over the parameter's whole horizon; FAILS when `z` sits inside every
+    one of the parameter's rows' unions already at `n_max`.  Raising
+    `rows`, or `n_max` within the horizon, only resolves UNKNOWN; see
+    ``FsigmaParam.member``.
     """
     return p.member(z, rows, n_max)

@@ -77,11 +77,6 @@ def countable_member(y: CountableParam, x: BairePrefix, rows: int, depth: int) -
     support = _support_rows(len(y.prefix))
     if any(row_agrees_fully(n) for n in range(min(rows, support + 1))):
         return Tri.HOLDS
-
-    considered = max(rows, y.rows, support)
-    zero_row_refuted = any(x[m] != 0 for m in range(depth))
-    if zero_row_refuted and all(
-        row_refuted(n) for n in range(min(considered, support + 1))
-    ):
+    if all(row_refuted(n) for n in range(support + 1)):
         return Tri.FAILS
     return Tri.UNKNOWN

@@ -392,20 +392,20 @@ def kprime(n: int, m: int, space: str = CANTOR) -> int:
 # -- combinadics ------------------------------------------------------------
 
 
-def _require_ground_set(n: int, cap: int | None) -> None:
+def _require_ground_set(n: int) -> None:
     # E terms choose subsets of the 2^level cylinders of a capped level
-    _require_level(max(n - 1, 0).bit_length(), cap)
+    _require_level(max(n - 1, 0).bit_length())
 
 
-def kcomb_unrank_mask(n: int, t: int, r: int, cap: int | None = None) -> int:
+def kcomb_unrank_mask(n: int, t: int, r: int) -> int:
     """The r-th t-subset of {0..n-1}, ordering sorted tuples
     lexicographically, as the mask with bit c set for each member c.
-    Exact for big-integer ranks.  An n past 2^cap (default: the current
-    ``max_level()``) raises LevelCapExceeded, and a rank outside
-    [0, C(n, t)) IndexOutOfRange; ``kcomb_unrank_mask_below`` then walks."""
+    Exact for big-integer ranks.  An n past 2^max_level() raises
+    LevelCapExceeded, and a rank outside [0, C(n, t)) IndexOutOfRange;
+    ``kcomb_unrank_mask_below`` then walks."""
     if t < 0 or t > n:
         raise IndexOutOfRange(f"no {t}-subsets of a {n}-set")
-    _require_ground_set(n, cap)
+    _require_ground_set(n)
     total = comb(n, t)
     if not 0 <= r < total:
         raise IndexOutOfRange(f"rank {r} out of range {total}")
@@ -545,19 +545,19 @@ def kcomb_rank_mask(n: int, mask: int) -> int:
     return total - 1 - r
 
 
-def kcomb_unrank(n: int, t: int, r: int, cap: int | None = None) -> tuple[int, ...]:
+def kcomb_unrank(n: int, t: int, r: int) -> tuple[int, ...]:
     """``kcomb_unrank_mask`` as the sorted tuple of members."""
-    mask = kcomb_unrank_mask(n, t, r, cap)
+    mask = kcomb_unrank_mask(n, t, r)
     return tuple(c for c, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
-def kcomb_rank(n: int, subset, cap: int | None = None) -> int:
+def kcomb_rank(n: int, subset) -> int:
     """Inverse of kcomb_unrank, under the same cap."""
     s = sorted(subset)
     t = len(s)
     if t > n or any(not 0 <= v < n for v in s) or len(set(s)) != t:
         raise IndexOutOfRange("not a subset of {0..n-1}")
-    _require_ground_set(n, cap)
+    _require_ground_set(n)
     mask = 0
     for v in s:
         mask |= 1 << v

@@ -6,16 +6,18 @@ subset of it; because only nonempty subsets are ever selected, the union
 meets every basic open set no matter what the parameter says, so every
 section is dense-at-stage unconditionally.  Encoders pick those subsets
 inside a given clopen target, which pins the stage union under the target
-exactly.  ``MeagerParam`` is a ``space.FsigmaParam``: it says only how a
-row becomes its dense-open terms, and shares its format, memo and
-evaluator with the closed-null parameter ``EParam``.  The
-interval-partition predicate used by the combinatorial meager base lives
-here too.
+exactly.  A dense-open parameter is a plain tuple of selections.
+``MeagerParam`` is a ``space.FsigmaParam``: it says only how a row
+becomes its dense-open terms, and shares its format, memo
+(``FsigmaParam.stage_union``) and evaluator (``FsigmaParam.member``)
+with the closed-null parameter ``EParam``.  The interval-partition
+predicate used by the combinatorial meager base lives here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 from .errors import IndexOutOfRange, InsufficientPrefix, LevelCapExceeded, NotDense
@@ -25,7 +27,6 @@ from .space import (
     Clopen,
     FsigmaParam,
     Tri,
-    _prefix_union,
     matrix_entry,
     max_level,
     pack_rows,
@@ -94,32 +95,25 @@ def fxp_eval(x: BitWord, partition: IntervalPartition, z: BitWord, from_block: i
 # -- dense open sections -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DenseOpenParam:
-    prefix: tuple
-
-    def to_json(self) -> dict:
-        return {"prefix": list(self.prefix)}
-
-
-def _dense_terms(x: DenseOpenParam, cap: int) -> Callable[[int], Clopen]:
+def _dense_terms(x: tuple, cap: int) -> Callable[[int], Clopen]:
     # term n >= 1 is the selected basic subset of basic open set n; there
     # is no basic open set 0 to select in, so stage 0 is empty
     def term(n: int) -> Clopen:
-        return basic_open_cantor(kprime(n, x.prefix[n]), cap) if n else Clopen.empty()
+        return basic_open_cantor(kprime(n, x[n]), cap) if n else Clopen.empty()
 
     return term
 
 
-def dense_section_stage(x: DenseOpenParam, n_max: int) -> Clopen:
-    """Union of the selected nonempty basic subsets for 1 <= n <= n_max."""
-    if len(x.prefix) <= n_max:
+def dense_section_stage(x: tuple, n_max: int) -> Clopen:
+    """Union of the selected nonempty basic subsets for 1 <= n <= n_max,
+    where `x` holds the selection of each basic open set n at x[n]."""
+    if len(x) <= n_max:
         raise InsufficientPrefix(n_max + 1)
-    cap = max_level()
-    return _prefix_union({}, None, n_max, _dense_terms, x, cap)
+    term = _dense_terms(x, max_level())
+    return reduce(Clopen.union, map(term, range(n_max + 1)), Clopen.empty())
 
 
-def dense_open_encode(w: Clopen, n_max: int) -> DenseOpenParam:
+def dense_open_encode(w: Clopen, n_max: int) -> tuple:
     """Parameter whose stage union sits inside the dense clopen `w`.
 
     For each basic open set the least basic subset lying inside `w` is
@@ -160,7 +154,7 @@ def dense_open_encode(w: Clopen, n_max: int) -> DenseOpenParam:
         if k + d > cap:
             raise LevelCapExceeded(cap + 1, cap)
         choices.append((1 << d) - 1 + (block & -block).bit_length() - 1)
-    return DenseOpenParam(tuple(choices))
+    return tuple(choices)
 
 
 # -- meager sections ---------------------------------------------------------
@@ -171,8 +165,8 @@ class MeagerParam(FsigmaParam):
     """Rows of dense-open parameters: row r's terms are the dense-open
     terms of cells (r, 0) .. (r, horizon)."""
 
-    def row(self, r: int, n_max: int) -> DenseOpenParam:
-        return DenseOpenParam(tuple(matrix_entry(self.prefix, r, n) for n in range(n_max + 1)))
+    def row(self, r: int, n_max: int) -> tuple:
+        return tuple(matrix_entry(self.prefix, r, n) for n in range(n_max + 1))
 
     def _row_terms(self, r: int, cap: int) -> Callable[[int], Clopen]:
         return _dense_terms(self.row(r, self.horizon), cap)
@@ -182,16 +176,17 @@ def meager_encode(dense_opens: Sequence[Clopen], n_max: int) -> MeagerParam:
     """Pack one dense-open parameter per listed set."""
     if n_max < 0:
         raise IndexOutOfRange("stage bounds are naturals")
-    rows = [dense_open_encode(w, n_max).prefix for w in dense_opens]
+    rows = [dense_open_encode(w, n_max) for w in dense_opens]
     return MeagerParam(pack_rows(rows), len(rows), n_max)
 
 
 def meager_eval(p: MeagerParam, z: BitWord, rows: int, n_max: int) -> Tri:
     """Membership of the cylinder of `z` in the meager section at stage.
 
-    HOLDS when `z` avoids some row's union over the parameter's whole
-    horizon -- a certificate no later stage can revoke.  FAILS when `z`
-    sits inside every row's union already at `n_max`.  Raising `n_max`
-    within the horizon only ever resolves UNKNOWN.
+    HOLDS when `z` avoids the union of one of the first `rows` rows over
+    the parameter's whole horizon -- a certificate no later stage can
+    revoke.  FAILS when `z` sits inside every one of the parameter's rows'
+    unions already at `n_max`.  Raising `rows`, or `n_max` within the
+    horizon, only ever resolves UNKNOWN; see ``FsigmaParam.member``.
     """
     return p.member(z, rows, n_max)

@@ -1,6 +1,8 @@
 """Cylinder algebra on Cantor space, plus the coding bijections, the
-matrix coding of parameters, and the F_sigma row parameter with its
-evaluator, shared by the meager and closed-null constructions.
+matrix coding of parameters, and ``FsigmaParam``: the F_sigma row
+parameter, its per-row stage-union memo (``stage_union``) and its one
+three-valued evaluator (``member``), shared by the meager and
+closed-null constructions.
 
 Finite data stands in for infinite objects throughout: a 0/1 word denotes
 the cylinder of all sequences extending it, a tuple of naturals is the
@@ -415,51 +417,11 @@ def _row_states(memo: dict, key, stage: int, open_row: Callable, *args):
     return state
 
 
-def _union_steps(row_terms: Callable[..., Callable[[int], Clopen]], row, cap: int):
-    """The step of a union state: the union of terms 0..k.  `row_terms`
-    reads every cell of the row and returns its term function, so a
-    missing cell is reported before any term can fail."""
-    term = row_terms(row, cap)
-    return lambda union, k: union.union(term(k)) if k else term(0)
-
-
-def _prefix_union(memo: dict, key, stage: int, row_terms: Callable, row, cap: int) -> Clopen:
-    """Union of terms 0..stage of ``row_terms(row, cap)``, memoized in
-    `memo[key]`; a negative stage is the union of no terms."""
-    if stage < 0:
-        return Clopen.empty()
-    return _row_states(memo, key, stage, _union_steps, row_terms, row, cap)
-
-
-def fsigma_member(
-    z: BitWord, rows: int, n_max: int, horizon: int, stage_union: Callable[[int, int], Clopen]
-) -> Tri:
-    """Membership of the cylinder of `z` in a union of closed sets, each
-    the complement of row r's open union `stage_union(r, n)` at stage n.
-
-    HOLDS when the cylinder misses some row's union at `horizon`, FAILS
-    when it lies inside every row's union at `n_max`, UNKNOWN otherwise.
-    `z` is validated before any union is built, then `rows`: no rows
-    answer FAILS, and a negative count raises IndexOutOfRange.  Each row's
-    horizon union is built before its stage union.  Each test reads one bit
-    or one block of a union's mask, so the length of `z` is not capped.
-    """
-    check_word(z, len(z))
-    if rows < 0:
-        raise IndexOutOfRange("row counts are naturals")
-    inside_all = True
-    for r in range(rows):
-        if not stage_union(r, horizon).meets_cylinder(z):
-            return Tri.HOLDS
-        if not stage_union(r, n_max).covers_cylinder(z):
-            inside_all = False
-    return Tri.FAILS if inside_all else Tri.UNKNOWN
-
-
 @dataclass(frozen=True)
 class FsigmaParam:
-    """Rows of open-set parameters packed into one matrix-coded prefix;
-    a subclass's ``_row_terms`` says how row r becomes its terms.
+    """Rows of open-set parameters packed into one matrix-coded prefix,
+    and the F_sigma evaluator over them; a subclass's ``_row_terms`` says
+    how row r becomes its terms.
 
     ``horizon`` is the stage depth the rows carry data for; evaluation
     never reads past it, so negative certificates issued against the
@@ -477,18 +439,48 @@ class FsigmaParam:
         """Read row r's cells to the horizon and return its term function."""
         raise NotImplementedError
 
+    def _union_step(self, r: int, cap: int) -> Callable:
+        """The step of row r's union state: the union of terms 0..k.  The
+        row's cells are all read before the step is returned, so a missing
+        cell is reported before any term can fail."""
+        term = self._row_terms(r, cap)
+        return lambda union, k: union.union(term(k)) if k else term(0)
+
+    def stage_union(self, r: int, n: int, cap: int) -> Clopen:
+        """Union of row r's terms 0..n under the level cap `cap`, memoized
+        in ``_unions[(r, cap)]``; a negative stage is the union of no
+        terms."""
+        if n < 0:
+            return Clopen.empty()
+        return _row_states(self._unions, (r, cap), n, self._union_step, r, cap)
+
     def member(self, z: BitWord, rows: int, n_max: int) -> Tri:
-        """``fsigma_member`` over the first `rows` rows at stage `n_max`, at
-        most the horizon, with each row's stage unions kept in the memo."""
+        """Membership of the cylinder of `z` in the union of the rows'
+        closed sets, each the complement of a row's open stage union.
+
+        `rows` and `n_max` are stage bounds.  HOLDS when the cylinder
+        misses the horizon union of some row r < min(`rows`, ``self.rows``);
+        FAILS when it lies inside the stage-`n_max` union of every one of
+        the parameter's rows; UNKNOWN otherwise.  Raising either bound only
+        ever resolves UNKNOWN.  An `n_max` past the horizon raises
+        InsufficientPrefix, then `z` is validated, then `rows`: a negative
+        count raises IndexOutOfRange.  A searched row's horizon union is
+        built before its stage union.  Each test reads one bit or one block
+        of a union's mask, so the length of `z` is not capped.
+        """
         if n_max > self.horizon:
             raise InsufficientPrefix(n_max, what="stage horizon")
+        check_word(z, len(z))
+        if rows < 0:
+            raise IndexOutOfRange("row counts are naturals")
         cap = max_level()
-        row_terms = self._row_terms
-
-        def stage_union(r: int, n: int) -> Clopen:
-            return _prefix_union(self._unions, (r, cap), n, row_terms, r, cap)
-
-        return fsigma_member(z, rows, n_max, self.horizon, stage_union)
+        inside_all = True
+        for r in range(self.rows):
+            if r < rows and not self.stage_union(r, self.horizon, cap).meets_cylinder(z):
+                return Tri.HOLDS
+            if not self.stage_union(r, n_max, cap).covers_cylinder(z):
+                inside_all = False
+        return Tri.FAILS if inside_all else Tri.UNKNOWN
 
     def to_json(self) -> dict:
         return {"prefix": list(self.prefix), "rows": self.rows, "horizon": self.horizon}

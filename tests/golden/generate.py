@@ -18,6 +18,7 @@ HERE = pathlib.Path(__file__).parent
 
 NULL_COVERS = '{"covers":[[{"level":2,"words":["00"]}],[{"level":3,"words":["000"]}]]}'
 E_CLOPEN = '{"level":3,"words":["001","010","011","100","101","110","111"]}'
+E_CLOPEN_2 = '{"level":3,"words":["000","001","010","011","100","101","110"]}'
 
 
 def run(argv):
@@ -46,6 +47,10 @@ def build_cases():
     )
     null_param = encode_output(["null", "encode", "--covers", NULL_COVERS])
     e_param = encode_output(["e", "encode", "--clopen", E_CLOPEN, "--m-max", "2"])
+    e_param_2 = encode_output(["e", "encode", "--clopen", E_CLOPEN_2, "--m-max", "2"])
+    e_rows_param = encode_output(
+        ["e", "pack", "--triples", f"[{e_param},{e_param_2}]", "--horizon", "2"]
+    )
     ksigma_param = encode_output(
         ["ksigma", "encode", "--points", "[[1,2,3,4],[4,3,2,1]]"]
     )
@@ -102,6 +107,11 @@ def build_cases():
         "meager_eval": [
             "meager", "eval", "--param", meager_param, "--z", "01", "--n-max", "3",
         ],
+        # zero rows search no row for HOLDS, and FAILS needs every row
+        "meager_eval_rows": [
+            "meager", "eval", "--param", meager_param, "--z", "01", "--n-max", "3",
+            "--rows", "0",
+        ],
         "meager_partition": ["meager", "partition", "--y", "[2,3]"],
         "meager_fxp": [
             "meager", "fxp", "--x", "0101010", "--y", "[2,3]", "--z", "0100101",
@@ -115,6 +125,10 @@ def build_cases():
         "e_term": ["e", "term", "--param", e_param, "--n", "1"],
         "e_stage": ["e", "stage", "--param", e_param, "--n-max", "2"],
         "e_eval": ["e", "eval", "--param", e_param, "--z", "000", "--n-max", "2"],
+        "e_eval_rows": [
+            "e", "eval", "--param", e_rows_param, "--z", "000", "--n-max", "2",
+            "--rows", "0",
+        ],
         "e_pack": ["e", "pack", "--triples", f"[{e_param}]", "--horizon", "2"],
         "ksigma_encode": ["ksigma", "encode", "--points", "[[1,2,3,4],[4,3,2,1]]"],
         "ksigma_eval": [

@@ -14,7 +14,7 @@ from idealis.cli import COMMANDS, build_parser, main
 from idealis.closed_null import EParam, e_fsigma_member, e_open_encode
 from idealis.meager import dense_open_encode, meager_encode, meager_eval
 from idealis.nullset import CoverFamily, null_encode, null_member
-from idealis.space import Clopen, Tri, fsigma_member, max_level, pair
+from idealis.space import Clopen, FsigmaParam, Tri, max_level, pair
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -278,7 +278,7 @@ def test_queries_build_no_cylinder_past_the_cap(monkeypatch):
     assert null_member(f, outside, 3) is Tri.UNKNOWN
 
     w = Clopen.cylinder("00000").complement()
-    assert dense_open_encode(w, 6).prefix == (0, 2, 2, 0, 2, 0, 0)
+    assert dense_open_encode(w, 6) == (0, 2, 2, 0, 2, 0, 0)
     p = meager_encode([w], 6)
     assert meager_eval(p, inside, 1, 6) is Tri.HOLDS
     assert meager_eval(p, outside, 1, 6) is Tri.FAILS
@@ -288,13 +288,15 @@ def test_queries_build_no_cylinder_past_the_cap(monkeypatch):
 
     unions = [Clopen.from_words(3, ["000", "001", "110"]), Clopen.from_words(1, ["0"])]
 
-    def stage(r, n):
-        # the unions at the horizon 1, nothing yet at stage 0
-        return unions[r] if n else Clopen.empty()
+    class Given(FsigmaParam):
+        # row r's union is `unions[r]` at the horizon 1, nothing at stage 0
+        def _row_terms(self, r, cap):
+            return lambda n: unions[r] if n else Clopen.empty()
 
-    assert fsigma_member("00" + "1" * 38, 2, 1, 1, stage) is Tri.FAILS
-    assert fsigma_member("00" + "1" * 38, 2, 0, 1, stage) is Tri.UNKNOWN
-    assert fsigma_member("11" + "0" * 38, 2, 1, 1, stage) is Tri.HOLDS
+    f = Given((), 2, 1)
+    assert f.member("00" + "1" * 38, 2, 1) is Tri.FAILS
+    assert f.member("00" + "1" * 38, 2, 0) is Tri.UNKNOWN
+    assert f.member("11" + "0" * 38, 2, 1) is Tri.HOLDS
 
 
 WHOLE_SPACE = '{"level":0,"words":[""]}'
@@ -572,3 +574,56 @@ def test_fubini_encode_reads_the_x_half_then_the_plane_half_by_variant(variant):
     code, out = run_cli(argv + ["--x-part", "{}", "--plane-part", "{}"])
     missing = "'covers'" if variant == "nm" else "'dense_opens'"
     assert code == 1 and json.loads(out) == {"error": "MalformedInput", "detail": {"message": missing}}
+
+
+@pytest.mark.parametrize(
+    "argv,code,error",
+    [
+        (golden_argv("meager_eval", "--param", golden_param("countable_eval_holds")), 1, "MalformedInput"),
+        (golden_argv("fubini_diagnose_nwd", "--split", "3"), 2, "LevelCapExceeded"),
+        (golden_argv("null_stage", "--k", "0"), 2, "InsufficientPrefix"),
+        (json_argv("null_eval", "--param", "witness", [10, 1]), 2, "InsufficientPrefix"),
+        (golden_argv("e_term", "--n", "3"), 2, "InsufficientPrefix"),
+        (golden_argv("e_pack", "--horizon", "3"), 2, "InsufficientPrefix"),
+    ],
+    ids=[
+        "param-of-another-ideal", "split-past-d", "null-stage-k-not-past-n",
+        "witness-bound-not-past-its-row", "e-term-past-the-positions", "e-pack-short-triple",
+    ],
+)
+def test_a_broken_contract_exits_with_its_name(argv, code, error):
+    got, out = run_cli(argv)
+    assert (got, json.loads(out)["error"]) == (code, error)
+
+
+def test_an_mn_product_evaluates_at_the_cli_as_in_the_library():
+    from idealis.fubini import ProductParam, ProductPoint, product_member
+
+    dense = {
+        "dense_opens": [{"level": 2, "words": ["00", "10"]}, {"level": 2, "words": ["01", "11"]}],
+        "n_max": 3,
+    }
+    covers = {"covers": [[{"level": 2, "words": ["00"]}], [{"level": 3, "words": ["010"]}]]}
+    code, out = run_cli(
+        ["fubini", "encode", "--variant", "mn", "--x-part", json.dumps(dense), "--plane-part", json.dumps(covers)]
+    )
+    assert code == 0
+    pp = ProductParam.from_json(json.loads(out))
+    assert pp.variant == "mn" and (pp.first.rows, pp.first.horizon) == (2, 3)
+    seen = set()
+    for y, z in [("00", "00"), ("01", "10"), ("10", "01"), ("11", "11"), ("0", "1")]:
+        for null_levels in range(2):
+            for n_max in range(-1, 4):
+                for rows in (None, 0, 1, 2, 3):
+                    argv = ["fubini", "eval", "--param", out.strip(), "--y", y, "--z", z,
+                            "--null-levels", str(null_levels), "--meager-n-max", str(n_max)]
+                    if rows is not None:
+                        argv += ["--meager-rows", str(rows)]
+                    want = product_member(
+                        pp, ProductPoint(y, z), null_levels=null_levels, meager_n_max=n_max, meager_rows=rows
+                    ).value
+                    got, doc = run_cli(argv)
+                    assert (got, json.loads(doc)) == (0, {"result": want})
+                    seen.add(want)
+    # the null half answers FAILS only for a plane word shorter than these
+    assert seen == {"HoldsAtStage", "InsufficientData"}

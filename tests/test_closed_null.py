@@ -51,7 +51,7 @@ def listed_e_open_encode(v, m_max):
         size = (1 << lifted) - (1 << (lifted - n)) if n else 0
         x0.append(0)
         x1.append(chosen)
-        x2.append(kcomb_rank(1 << lifted, inside(lifted)[:size], cap))
+        x2.append(kcomb_rank(1 << lifted, inside(lifted)[:size]))
     return ETripleParam(tuple(x0), tuple(x1), tuple(x2))
 
 

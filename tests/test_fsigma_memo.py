@@ -91,13 +91,20 @@ class TestMemoAnswers:
 
 
 class TestMemoErrors:
-    def test_zero_rows_fail_and_negative_rows_are_refused(self):
+    def test_zero_rows_search_no_row_and_negative_rows_are_refused(self):
         v = Clopen.cylinder("000000").complement()
         for p in (meager_encode([v], 5), EParam.from_triples([e_open_encode(v, 5)], 5)):
-            # no rows: the union of their closed sets is empty
-            assert outcome(p, "01", 0, 3) == "FailsAtStage"
-            assert outcome(p, "01", -1, 3) == ("IndexOutOfRange", {"message": "row counts are naturals"})
-            assert not p._unions
+            # zero rows search no row for HOLDS, but FAILS still needs
+            # every row of the parameter
+            assert outcome(p, "000000", 0, 3) == "InsufficientData"
+            assert outcome(p, "000000", 1, 3) == "HoldsAtStage"
+            assert outcome(p, "01", 0, 3) == outcome(p, "01", 1, 3) == "FailsAtStage"
+            blank = fresh(p)
+            assert outcome(blank, "01", -1, 3) == ("IndexOutOfRange", {"message": "row counts are naturals"})
+            assert not blank._unions
+            # no rows at all: the union of their closed sets is empty
+            empty = type(p)((), 0, p.horizon)
+            assert {outcome(empty, z, rows, 3) for z in ("", "01") for rows in (0, 2)} == {"FailsAtStage"}
 
     def test_lowered_cap_is_not_served_from_the_memo(self, monkeypatch):
         monkeypatch.setenv("IDEALIS_MAX_LEVEL", "12")
@@ -148,11 +155,13 @@ class TestMemoErrors:
         # row 0 is the encoded row, row 1 has a term past the cap
         good_row = [good.prefix[pair(0, j)] for j in range(len(bad_row))]
         p = kind(pack_rows([good_row, bad_row]), 2, good.horizon)
-        assert outcome(p, "1", 1, p.horizon) == outcome(good, "1", 1, good.horizon)
+        # stage 0 reads row 1's cells, but not the term past the cap
+        assert outcome(p, "1", 1, 0) == outcome(good, "1", 1, 0)
         memo = dict(p._unions)
-        assert list(memo) == [(0, 12)]
-        for _ in range(2):
+        assert list(memo) == [(0, 12), (1, 12)]
+        # FAILS needs row 1's stage union even when only row 0 is searched
+        for rows in (1, 2, 1):
             with pytest.raises(LevelCapExceeded):
-                EVALS[kind](p, "1", 2, p.horizon)
+                EVALS[kind](p, "1", rows, p.horizon)
             assert p._unions == memo
             assert all(p._unions[k] is memo[k] for k in memo)

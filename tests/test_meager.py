@@ -6,7 +6,6 @@ from idealis import enumerations, meager, space
 from idealis.checks import brute_fxp
 from idealis.errors import IdealisError, InsufficientPrefix, LevelCapExceeded, NotDense
 from idealis.meager import (
-    DenseOpenParam,
     IntervalPartition,
     MeagerParam,
     dense_open_encode,
@@ -77,16 +76,16 @@ class TestFxp:
 
 class TestDenseOpen:
     def test_whole_space_stage(self):
-        x = DenseOpenParam((0, 0))
+        x = (0, 0)
         assert dense_section_stage(x, 1) == Clopen.full()
 
     def test_negative_stage_is_the_union_of_no_terms(self):
-        assert dense_section_stage(DenseOpenParam((0, 0)), -1) == Clopen.empty()
+        assert dense_section_stage((0, 0), -1) == Clopen.empty()
 
     def test_stage_monotone_in_n_max(self):
         rng = random.Random(5)
         for _ in range(30):
-            x = DenseOpenParam(tuple(rng.randrange(20) for _ in range(9)))
+            x = tuple(rng.randrange(20) for _ in range(9))
             prev = Clopen.empty()
             for n_max in range(1, 9):
                 cur = dense_section_stage(x, n_max)
@@ -96,7 +95,7 @@ class TestDenseOpen:
     def test_sections_meet_every_basic_open_unconditionally(self):
         rng = random.Random(17)
         for _ in range(50):
-            x = DenseOpenParam(tuple(rng.randrange(30) for _ in range(11)))
+            x = tuple(rng.randrange(30) for _ in range(11))
             stage = dense_section_stage(x, 10)
             for n in range(1, 11):
                 assert stage.meets(basic_open_cantor(n))
@@ -110,7 +109,7 @@ class TestDenseOpen:
         x = dense_open_encode(w, 4)
         assert dense_section_stage(x, 4).subset(w)
         # first basic subset of the whole space inside w is [00], rank 3
-        assert x.prefix[1] == 3
+        assert x[1] == 3
 
     def test_not_dense(self):
         with pytest.raises(NotDense) as e:
@@ -137,7 +136,7 @@ class TestDenseOpen:
 
     def test_insufficient_prefix(self):
         with pytest.raises(InsufficientPrefix):
-            dense_section_stage(DenseOpenParam((0, 0)), 2)
+            dense_section_stage((0, 0), 2)
 
 
 def linear_dense_open_encode(w, n_max):
@@ -153,12 +152,12 @@ def linear_dense_open_encode(w, n_max):
         while not w.covers_cylinder(basic_word_cantor(kprime(n, m), cap)):
             m += 1
         choices.append(m)
-    return DenseOpenParam(tuple(choices))
+    return tuple(choices)
 
 
 def encode_outcome(encode, w, n_max):
     try:
-        return encode(w, n_max).prefix
+        return encode(w, n_max)
     except IdealisError as e:
         return e.name, e.detail()
 
