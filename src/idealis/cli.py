@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import json
 import sys
 
@@ -56,33 +55,17 @@ def param_file(ideal: str, payload: dict) -> dict:
     return {"ideal": ideal, "coding": CODING, "created-by": CREATED_BY, **payload}
 
 
-# ideal tag -> (module, class) of the parameter it loads as
-_PARAM_CLASSES = {
-    "countable": ("countable", "CountableParam"),
-    "meager": ("meager", "MeagerParam"),
-    "null": ("nullset", "NullParam"),
-    "e-open": ("closed_null", "ETripleParam"),
-    "e": ("closed_null", "EParam"),
-    "ksigma": ("domination", "KsigmaParam"),
-    "laver": ("domination", "LaverParam"),
-    "fubini-nm": ("fubini", "ProductParam"),
-    "fubini-mn": ("fubini", "ProductParam"),
-}
-
-
-def load_param(doc: dict, expected_ideal):
+def load_param(doc: dict, classes: dict):
+    """Load `doc` as the class `classes` maps its ideal tag to."""
     if not isinstance(doc, dict) or "ideal" not in doc:
         raise MalformedInput("parameter file must be an object with an 'ideal' tag")
     coding = doc.get("coding", "")
     if coding != CODING:
         raise CodingMismatch(CODING, coding)
     ideal = doc["ideal"]
-    if isinstance(expected_ideal, str):
-        expected_ideal = (expected_ideal,)
-    if ideal not in expected_ideal:
-        raise MalformedInput(f"expected a parameter for {expected_ideal}, got {ideal!r}")
-    module, cls = _PARAM_CLASSES[ideal]
-    return getattr(importlib.import_module(f".{module}", __package__), cls).from_json(doc)
+    if ideal not in classes:
+        raise MalformedInput(f"expected a parameter for {tuple(classes)}, got {ideal!r}")
+    return classes[ideal].from_json(doc)
 
 
 def _baire(values) -> tuple:
@@ -131,20 +114,20 @@ def cmd_enum(args) -> dict:
 
 
 def cmd_countable(args) -> dict:
-    from .countable import countable_encode, countable_member
+    from .countable import CountableParam, countable_encode, countable_member
 
     if args.op == "encode":
         points = [_baire(p) for p in _arg_json(args.points)]
         param = countable_encode(points, args.depth)
         return param_file("countable", param.to_json())
-    param = load_param(_arg_json(args.param), "countable")
+    param = load_param(_arg_json(args.param), {"countable": CountableParam})
     rows = param.rows if args.rows is None else args.rows
     got = countable_member(param, _baire(_arg_json(args.x)), rows, args.depth)
     return {"result": got.value}
 
 
 def cmd_meager(args) -> dict:
-    from .meager import fxp_eval, meager_encode, meager_eval, partition_from
+    from .meager import MeagerParam, fxp_eval, meager_encode, meager_eval, partition_from
 
     if args.op == "partition":
         return partition_from(_baire(_arg_json(args.y))).to_json()
@@ -159,19 +142,19 @@ def cmd_meager(args) -> dict:
     if args.op == "encode":
         dense = [Clopen.from_json(d) for d in _arg_json(args.dense_opens)]
         return param_file("meager", meager_encode(dense, args.n_max).to_json())
-    param = load_param(_arg_json(args.param), "meager")
+    param = load_param(_arg_json(args.param), {"meager": MeagerParam})
     rows = param.rows if args.rows is None else args.rows
     got = meager_eval(param, _bits(args.z), rows, args.n_max)
     return {"result": got.value}
 
 
 def cmd_null(args) -> dict:
-    from .nullset import CoverFamily, null_encode, null_member, null_stage, null_term
+    from .nullset import CoverFamily, NullParam, null_encode, null_member, null_stage, null_term
 
     if args.op == "encode":
         family = CoverFamily.from_json(_arg_json(args.covers))
         return param_file("null", null_encode(family).to_json())
-    param = load_param(_arg_json(args.param), "null")
+    param = load_param(_arg_json(args.param), {"null": NullParam})
     if args.op == "eval":
         return {"result": null_member(param, _bits(args.z), args.n).value}
     if args.op == "stage":
@@ -188,14 +171,14 @@ def cmd_e(args) -> dict:
         v = Clopen.from_json(_arg_json(args.clopen))
         return param_file("e-open", e_open_encode(v, args.m_max).to_json())
     if args.op == "pack":
-        triples = [load_param(t, "e-open") for t in _arg_json(args.triples)]
+        triples = [load_param(t, {"e-open": ETripleParam}) for t in _arg_json(args.triples)]
         return param_file("e", EParam.from_triples(triples, args.horizon).to_json())
     if args.op in ("term", "stage"):
-        param = load_param(_arg_json(args.param), "e-open")
+        param = load_param(_arg_json(args.param), {"e-open": ETripleParam})
         if args.op == "term":
             return e_term(param, args.n).to_json()
         return e_open_stage(param, args.n_max).to_json()
-    param = load_param(_arg_json(args.param), ("e", "e-open"))
+    param = load_param(_arg_json(args.param), {"e": EParam, "e-open": ETripleParam})
     if isinstance(param, ETripleParam):
         param = EParam.from_triples([param], param.positions - 1)
     rows = param.rows if args.rows is None else args.rows
@@ -204,12 +187,12 @@ def cmd_e(args) -> dict:
 
 
 def cmd_ksigma(args) -> dict:
-    from .domination import dominated_from, ksigma_diagonal, ksigma_encode
+    from .domination import KsigmaParam, dominated_from, ksigma_diagonal, ksigma_encode
 
     if args.op == "encode":
         points = [_baire(p) for p in _arg_json(args.points)]
         return param_file("ksigma", ksigma_encode(points).to_json())
-    param = load_param(_arg_json(args.param), "ksigma")
+    param = load_param(_arg_json(args.param), {"ksigma": KsigmaParam})
     if args.op == "eval":
         got = dominated_from(param, _baire(_arg_json(args.x)), args.n)
         return {"dominated": got}
@@ -221,7 +204,7 @@ def cmd_laver(args) -> dict:
 
     if args.op == "encode":
         return param_file("laver", LaverParam.from_json({"phi": _arg_json(args.phi)}).to_json())
-    param = load_param(_arg_json(args.param), "laver")
+    param = load_param(_arg_json(args.param), {"laver": LaverParam})
     got = laver_witnesses(param, _baire(_arg_json(args.f)), args.n0, args.n1)
     return {"witnesses": got}
 
@@ -234,9 +217,11 @@ def _meager_half(doc) -> tuple:
 def cmd_fubini(args) -> dict:
     from .fubini import (
         DensityProxy,
+        ProductParam,
         ProductPoint,
         SomewhereDenseProxy,
         flagged_bits,
+        halves,
         product_encode,
         product_member,
         section_diagnostic,
@@ -245,12 +230,13 @@ def cmd_fubini(args) -> dict:
 
     if args.op == "encode":
         x_part, plane_part = _arg_json(args.x_part), _arg_json(args.plane_part)
-        halves = (CoverFamily.from_json, _meager_half)
-        read_x, read_plane = halves if args.variant == "nm" else halves[::-1]
+        readers = {"null": CoverFamily.from_json, "meager": _meager_half}
+        read_x, read_plane = (readers[half] for half in halves(args.variant))
         pp = product_encode(args.variant, read_x(x_part), read_plane(plane_part))
         return param_file(f"fubini-{args.variant}", pp.to_json())
     if args.op == "eval":
-        pp = load_param(_arg_json(args.param), ("fubini-nm", "fubini-mn"))
+        classes = dict.fromkeys(("fubini-nm", "fubini-mn"), ProductParam)
+        pp = load_param(_arg_json(args.param), classes)
         got = product_member(
             pp,
             ProductPoint(_bits(args.y), _bits(args.z)),

@@ -9,9 +9,9 @@ shallow for the subset size to be an integer, so the term measure
 1 - 2^-m survives arbitrary parameters and every stage union is full up
 to an error of 2^-n_max unconditionally.  Membership in the union of
 the rows' complements is decided through ``space.FsigmaParam``: ``EParam``
-says only how a row becomes its E terms, and shares its format, memo
-(``FsigmaParam.stage_union``) and evaluator (``FsigmaParam.member``)
-with the meager parameter ``MeagerParam``.
+says only how a row becomes its E terms, and shares its format,
+row-union memo (``RowParam.state``) and evaluator
+(``FsigmaParam.member``) with the meager parameter ``MeagerParam``.
 """
 
 from __future__ import annotations

@@ -46,21 +46,16 @@ BAIRE_KPRIME_BITS = 1 << 22
 
 def _binomial_prefix(b: int, q: int) -> tuple[int, int]:
     """(T(b, q), C(b, q)): the b-bit masks with at most q ones, and with
-    exactly q ones, summed over the shorter side in O(min(q, b - q)) steps.
-    q is clamped to [-1, b], so q >= b gives (2^b, 1)."""
+    exactly q ones, summed in O(q) steps.  q is clamped to [-1, b], so
+    q >= b gives (2^b, 1)."""
     if q < 0:
         return 0, 0
     if q >= b:
         return 1 << b, 1
-    mirror = q > b - q - 1
-    m = b - q - 1 if mirror else q
     term = total = 1
-    for j in range(m):
+    for j in range(q):
         term = term * (b - j) // (j + 1)
         total += term
-    if mirror:
-        # T(b, q) = 2^b - T(b, b - q - 1) and C(b, q) = C(b, m + 1)
-        return (1 << b) - total, term * (b - m) // (m + 1)
     return total, term
 
 
@@ -263,7 +258,10 @@ clopen_enum.cache_clear = _clopen_enum.cache_clear
 
 
 def clopen_rank(n: int, c: Clopen) -> int:
-    """Inverse of clopen_enum along its second argument."""
+    """Inverse of clopen_enum along its second argument; a negative `n`
+    raises IndexOutOfRange."""
+    if n < 0:
+        raise IndexOutOfRange("enumeration indices are naturals")
     if c.is_empty:
         return 0
     if c.word_count() << n >= 1 << c.level:

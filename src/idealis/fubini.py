@@ -47,6 +47,19 @@ def deinterleave(w: BitWord) -> ProductPoint:
     return ProductPoint(w[0::2], w[1::2])
 
 
+def halves(variant: str) -> tuple[str, str]:
+    """Which of the factor and planar halves of `variant` is null and
+    which meager; an unknown variant raises ValueError."""
+    if variant == NULL_OVER_MEAGER:
+        return "null", "meager"
+    if variant == MEAGER_OVER_NULL:
+        return "meager", "null"
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+_HALF_PARAMS = {"null": NullParam, "meager": MeagerParam}
+
+
 @dataclass(frozen=True)
 class ProductParam:
     variant: str
@@ -54,8 +67,7 @@ class ProductParam:
     second: object  # planar parameter
 
     def __post_init__(self):
-        if self.variant not in (NULL_OVER_MEAGER, MEAGER_OVER_NULL):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        halves(self.variant)
 
     def to_json(self) -> dict:
         return {
@@ -67,13 +79,12 @@ class ProductParam:
     @staticmethod
     def from_json(doc: dict) -> "ProductParam":
         variant = doc["variant"]
-        if variant == NULL_OVER_MEAGER:
-            first = NullParam.from_json(doc["first"])
-            second = MeagerParam.from_json(doc["second"])
-        else:
-            first = MeagerParam.from_json(doc["first"])
-            second = NullParam.from_json(doc["second"])
-        return ProductParam(variant, first, second)
+        first, second = halves(variant)
+        return ProductParam(
+            variant,
+            _HALF_PARAMS[first].from_json(doc["first"]),
+            _HALF_PARAMS[second].from_json(doc["second"]),
+        )
 
 
 def product_encode(variant: str, x_part, plane_part) -> ProductParam:
@@ -82,14 +93,10 @@ def product_encode(variant: str, x_part, plane_part) -> ProductParam:
     For the null half supply a CoverFamily; for the meager half supply a
     (dense clopen list, stage depth) pair over the interleaved space.
     """
-    if variant == NULL_OVER_MEAGER:
-        first = null_encode(x_part)
-        second = meager_encode(*plane_part)
-    elif variant == MEAGER_OVER_NULL:
-        first = meager_encode(*x_part)
-        second = null_encode(plane_part)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    first, second = (
+        null_encode(part) if half == "null" else meager_encode(*part)
+        for half, part in zip(halves(variant), (x_part, plane_part))
+    )
     return ProductParam(variant, first, second)
 
 
@@ -102,27 +109,23 @@ def product_member(
     meager_rows: int | None = None,
 ) -> Tri:
     """Three-valued membership of a plane point in the product section."""
-    plane = interleave(p)
-    if pp.variant == NULL_OVER_MEAGER:
-        rows = pp.second.rows if meager_rows is None else meager_rows
-        factor = null_member(pp.first, p.y, null_levels)
-        planar = meager_eval(pp.second, plane, rows, meager_n_max)
-    else:
-        rows = pp.first.rows if meager_rows is None else meager_rows
-        factor = meager_eval(pp.first, p.y, rows, meager_n_max)
-        planar = null_member(pp.second, plane, null_levels)
-    return tri_or(factor, planar)
+    answers = []
+    for half, param, z in zip(halves(pp.variant), (pp.first, pp.second), (p.y, interleave(p))):
+        if half == "null":
+            answers.append(null_member(param, z, null_levels))
+        else:
+            rows = param.rows if meager_rows is None else meager_rows
+            answers.append(meager_eval(param, z, rows, meager_n_max))
+    return tri_or(*answers)
 
 
 def quantifier_shape(variant: str):
     """Nested quantifier tree of the evaluator, for structural audits."""
-    gdelta = ("forall", ("exists", "clopen"))
-    fsigma = ("exists", ("forall", "clopen"))
-    if variant == NULL_OVER_MEAGER:
-        return ("union", gdelta, fsigma)
-    if variant == MEAGER_OVER_NULL:
-        return ("union", fsigma, gdelta)
-    raise ValueError(f"unknown variant {variant!r}")
+    shapes = {
+        "null": ("forall", ("exists", "clopen")),     # G_delta
+        "meager": ("exists", ("forall", "clopen")),   # F_sigma
+    }
+    return ("union", *(shapes[half] for half in halves(variant)))
 
 
 def quantifier_depth(shape) -> int:

@@ -8,9 +8,9 @@ section is dense-at-stage unconditionally.  Encoders pick those subsets
 inside a given clopen target, which pins the stage union under the target
 exactly.  A dense-open parameter is a plain tuple of selections.
 ``MeagerParam`` is a ``space.FsigmaParam``: it says only how a row
-becomes its dense-open terms, and shares its format, memo
-(``FsigmaParam.stage_union``) and evaluator (``FsigmaParam.member``)
-with the closed-null parameter ``EParam``.  The interval-partition
+becomes its dense-open terms, and shares its format, row-union memo
+(``RowParam.state``) and evaluator (``FsigmaParam.member``) with the
+closed-null parameter ``EParam``.  The interval-partition
 predicate used by the combinatorial meager base lives here too.
 """
 

@@ -8,15 +8,15 @@ beyond, so every section has measure below 2^-n at every stage no matter
 what the parameter says; the encoder's output is arranged so the guard
 never fires on it.
 
-Each parameter memoizes its guarded scans, one per (row, level cap),
-through ``space._row_states``: state i of row n holds the guarded term
-n+i, the stage union up to it and the accepted total there.  A total is
-exact and kept as two plain ints, words and e, standing for words / 2^e:
-the count of level-e cylinders, where e starts at the row index and
-deepens with the row's terms.  `null_term`, `null_stage` and
-`null_member` read one state each, so each cell of a row is enumerated
-once per parameter and cap, and a lowered cap never meets a scan made
-under another.
+``NullParam`` is a ``space.RowParam``, so each parameter memoizes its
+guarded scans, one per (row, level cap), in ``RowParam.state``: state i
+of row n holds the guarded term n+i, the stage union up to it and the
+accepted total there.  A total is exact and kept as two plain ints,
+words and e, standing for words / 2^e: the count of level-e cylinders,
+where e starts at the row index and deepens with the row's terms.
+`null_term`, `null_stage` and `null_member` read one state each, so each
+cell of a row is enumerated once per parameter and cap, and a lowered cap
+never meets a scan made under another.
 
 The encoder flattens a family of covers row by row, with a few empty
 slots inserted before each row so that every cut point lands ahead of the
@@ -27,13 +27,13 @@ covered point evaluate as a member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InsufficientPrefix, InvariantViolated
 from .space import (
-    BitWord, Clopen, Tri, _naturals, _row_states, check_word, matrix_entry, max_level, pack_rows,
+    BitWord, Clopen, RowParam, Tri, _naturals, check_word, matrix_entry, max_level, pack_rows,
 )
 from .enumerations import clopen_enum, clopen_rank
 
@@ -78,16 +78,11 @@ class CoverFamily:
 
 
 @dataclass(frozen=True)
-class NullParam:
-    """Matrix-coded parameter plus per-row stage witnesses.
+class NullParam(RowParam):
+    """Matrix-coded parameter plus per-row stage witnesses; state i of row
+    n is its guarded scan up to term n+i."""
 
-    ``_scans`` is the guarded-scan memo, keyed by (row, level cap); it
-    takes no part in equality, hashing, ``repr`` or JSON.
-    """
-
-    prefix: tuple
     witness: tuple
-    _scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def cell(self, n: int, k: int) -> int:
         return matrix_entry(self.prefix, n, k)
@@ -99,29 +94,29 @@ class NullParam:
     def from_json(doc: dict) -> "NullParam":
         return NullParam(_naturals(doc["prefix"], True), _naturals(doc.get("witness", []), True))
 
+    def _step(self, n: int, cap: int):
+        """The step of row n's guarded scan under `cap`: state i is the
+        scan up to term n+i, and state 0 the scan before any term.  An
+        empty or blanked term reuses the state before, or its union and
+        total."""
 
-def _guarded_steps(f: NullParam, n: int, cap: int):
-    """The step of row n's guarded scan under `cap`: state i is the scan
-    up to term n+i, and state 0 the scan before any term.  An empty or
-    blanked term reuses the state before, or its union and total."""
+        def step(state, i):
+            if not i:
+                return _EMPTY, _EMPTY, 0, n
+            _, union, words, e = state
+            cand = clopen_enum(n, matrix_entry(self.prefix, n, n + i), cap=cap)
+            if cand.mask:
+                # the total plus cand's measure, counted at the deeper level
+                if cand.level > e:
+                    words <<= cand.level - e
+                    e = cand.level
+                words += cand.mask.bit_count() << (e - cand.level)
+                # the budget 2^-n is 2^(e - n) words at level e
+                if words < 1 << (e - n):
+                    return cand, union.union(cand), words, e
+            return state if state[0] is _EMPTY else (_EMPTY, *state[1:])
 
-    def step(state, i):
-        if not i:
-            return _EMPTY, _EMPTY, 0, n
-        _, union, words, e = state
-        cand = clopen_enum(n, matrix_entry(f.prefix, n, n + i), cap=cap)
-        if cand.mask:
-            # the total plus cand's measure, counted at the deeper level
-            if cand.level > e:
-                words <<= cand.level - e
-                e = cand.level
-            words += cand.mask.bit_count() << (e - cand.level)
-            # the budget 2^-n is 2^(e - n) words at level e
-            if words < 1 << (e - n):
-                return cand, union.union(cand), words, e
-        return state if state[0] is _EMPTY else (_EMPTY, *state[1:])
-
-    return step
+        return step
 
 
 def null_term(f: NullParam, n: int, k: int) -> Clopen:
@@ -129,7 +124,7 @@ def null_term(f: NullParam, n: int, k: int) -> Clopen:
     if k <= n:
         raise InsufficientPrefix(n + 1, what="term index")
     cap = max_level()
-    return _row_states(f._scans, (n, cap), k - n, _guarded_steps, f, n, cap)[0]
+    return f.state(n, k - n, cap)[0]
 
 
 def null_stage(f: NullParam, n: int, k_hi: int) -> Clopen:
@@ -137,7 +132,7 @@ def null_stage(f: NullParam, n: int, k_hi: int) -> Clopen:
     if k_hi <= n:
         raise InsufficientPrefix(n + 1, what="stage bound")
     cap = max_level()
-    return _row_states(f._scans, (n, cap), k_hi - n, _guarded_steps, f, n, cap)[1]
+    return f.state(n, k_hi - n, cap)[1]
 
 
 def null_member(f: NullParam, z: BitWord, n_levels: int) -> Tri:
@@ -164,7 +159,7 @@ def null_member(f: NullParam, z: BitWord, n_levels: int) -> Tri:
     for n, k_hi in enumerate(f.witness):
         if k_hi <= n:
             raise InsufficientPrefix(n + 1, what=f"witness bound for row {n}")
-        states.append(_row_states(f._scans, (n, cap), k_hi - n, _guarded_steps, f, n, cap))
+        states.append(f.state(n, k_hi - n, cap))
     if all(union.covers_cylinder(z) for _, union, _, _ in states):
         return Tri.HOLDS
     for n in range(n_levels + 1):

@@ -1,8 +1,10 @@
 """Cylinder algebra on Cantor space, plus the coding bijections, the
-matrix coding of parameters, and ``FsigmaParam``: the F_sigma row
-parameter, its per-row stage-union memo (``stage_union``) and its one
-three-valued evaluator (``member``), shared by the meager and
-closed-null constructions.
+matrix coding of parameters, ``RowParam``: a matrix-coded parameter
+whose rows are read stage by stage through one per-row state memo
+(``state``), shared by the null and F_sigma parameters, and
+``FsigmaParam``: the F_sigma row parameter and its one three-valued
+evaluator (``member``), shared by the meager and closed-null
+constructions.
 
 Finite data stands in for infinite objects throughout: a 0/1 word denotes
 the cylinder of all sequences extending it, a tuple of naturals is the
@@ -396,63 +398,71 @@ def matrix_entry(f: Sequence[int], n: int, k: int, *, zero_past_end: bool = Fals
     return f[idx]
 
 
-def _row_states(memo: dict, key, stage: int, open_row: Callable, *args):
-    """State `stage` of a row, memoized in `memo[key]` as the tuple of
-    states 0..k, where state k is ``step(state k-1, k)`` and state 0 is
-    ``step(None, 0)``.  A stage past k runs ``open_row(*args)``, which
-    returns `step`, then grows the entry from k+1 and stores it once every
-    new step is done: a step that raises stores nothing, so asking again
-    raises the same error.  An entry is only ever replaced whole, so
-    threads sharing a memo at worst repeat work."""
-    states = memo.get(key, ())
-    if stage < len(states):
-        return states[stage]
-    step = open_row(*args)
-    state = states[-1] if states else None
-    grown = []
-    for k in range(len(states), stage + 1):
-        state = step(state, k)
-        grown.append(state)
-    memo[key] = states + tuple(grown)
-    return state
-
-
 @dataclass(frozen=True)
-class FsigmaParam:
-    """Rows of open-set parameters packed into one matrix-coded prefix,
-    and the F_sigma evaluator over them; a subclass's ``_row_terms`` says
-    how row r becomes its terms.
+class RowParam:
+    """A matrix-coded prefix read one row at a time, and the memo of each
+    row's stage states; a subclass's ``_step`` says how a row's state
+    grows.
 
-    ``horizon`` is the stage depth the rows carry data for; evaluation
-    never reads past it, so negative certificates issued against the
-    horizon survive every admissible stage refinement.  ``_unions``
-    memoizes each row's stage unions, keyed by (row, level cap); it takes
-    no part in equality, hashing, ``repr`` or JSON.
+    ``state(r, k, cap)`` is state k of row r under the level cap `cap`,
+    where state k is ``step(state k-1, k)`` and state 0 is
+    ``step(None, 0)``.  ``_states`` memoizes each row's states 0..k as one
+    tuple, keyed by (row, level cap); it takes no part in equality,
+    hashing, ``repr`` or JSON.
     """
 
     prefix: tuple
+    _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _step(self, r: int, cap: int) -> Callable:
+        """The step of row r's state under `cap`."""
+        raise NotImplementedError
+
+    def state(self, r: int, k: int, cap: int):
+        """State `k` of row r.  A stage past the memoized ones runs
+        ``self._step(r, cap)`` and grows the entry from there, storing it
+        once every new step is done: a step that raises stores nothing, so
+        asking again raises the same error.  An entry is only ever
+        replaced whole, so threads sharing a memo at worst repeat work."""
+        key = (r, cap)
+        states = self._states.get(key, ())
+        if k < len(states):
+            return states[k]
+        step = self._step(r, cap)
+        state = states[-1] if states else None
+        grown = []
+        for i in range(len(states), k + 1):
+            state = step(state, i)
+            grown.append(state)
+        self._states[key] = states + tuple(grown)
+        return state
+
+
+@dataclass(frozen=True)
+class FsigmaParam(RowParam):
+    """Rows of open-set parameters packed into one matrix-coded prefix,
+    and the F_sigma evaluator over them; a subclass's ``_row_terms`` says
+    how row r becomes its terms.  State n of row r is the union of its
+    terms 0..n.
+
+    ``horizon`` is the stage depth the rows carry data for; evaluation
+    never reads past it, so negative certificates issued against the
+    horizon survive every admissible stage refinement.
+    """
+
     rows: int
     horizon: int
-    _unions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _row_terms(self, r: int, cap: int) -> Callable[[int], Clopen]:
         """Read row r's cells to the horizon and return its term function."""
         raise NotImplementedError
 
-    def _union_step(self, r: int, cap: int) -> Callable:
+    def _step(self, r: int, cap: int) -> Callable:
         """The step of row r's union state: the union of terms 0..k.  The
         row's cells are all read before the step is returned, so a missing
         cell is reported before any term can fail."""
         term = self._row_terms(r, cap)
         return lambda union, k: union.union(term(k)) if k else term(0)
-
-    def stage_union(self, r: int, n: int, cap: int) -> Clopen:
-        """Union of row r's terms 0..n under the level cap `cap`, memoized
-        in ``_unions[(r, cap)]``; a negative stage is the union of no
-        terms."""
-        if n < 0:
-            return Clopen.empty()
-        return _row_states(self._unions, (r, cap), n, self._union_step, r, cap)
 
     def member(self, z: BitWord, rows: int, n_max: int) -> Tri:
         """Membership of the cylinder of `z` in the union of the rows'
@@ -476,9 +486,10 @@ class FsigmaParam:
         cap = max_level()
         inside_all = True
         for r in range(self.rows):
-            if r < rows and not self.stage_union(r, self.horizon, cap).meets_cylinder(z):
+            if r < rows and not self.state(r, self.horizon, cap).meets_cylinder(z):
                 return Tri.HOLDS
-            if not self.stage_union(r, n_max, cap).covers_cylinder(z):
+            # a negative stage is the union of no terms, which covers nothing
+            if n_max < 0 or not self.state(r, n_max, cap).covers_cylinder(z):
                 inside_all = False
         return Tri.FAILS if inside_all else Tri.UNKNOWN
 

@@ -596,6 +596,15 @@ def test_a_broken_contract_exits_with_its_name(argv, code, error):
     assert (got, json.loads(out)["error"]) == (code, error)
 
 
+def test_a_product_file_of_an_unknown_variant_is_named_before_its_halves():
+    argv = golden_argv("fubini_eval")
+    i = argv.index("--param") + 1
+    argv[i] = json.dumps({**json.loads(argv[i]), "variant": "xx", "first": {}})
+    code, out = run_cli(argv)
+    message = {"message": "unknown variant 'xx'"}
+    assert (code, json.loads(out)) == (1, {"error": "MalformedInput", "detail": message})
+
+
 def test_an_mn_product_evaluates_at_the_cli_as_in_the_library():
     from idealis.fubini import ProductParam, ProductPoint, product_member
 

@@ -72,6 +72,17 @@ class TestTerm:
             with pytest.raises(IndexOutOfRange):
                 e_term(p, n)
 
+    def test_negative_cell_is_refused(self):
+        for i in range(3):
+            cells = [[0, 0], [0, 1], [0, 0]]
+            cells[i][1] = -1
+            with pytest.raises(IndexOutOfRange, match="position 1"):
+                e_term(ETripleParam(*map(tuple, cells)), 1)
+
+    def test_coordinates_of_unequal_length_are_refused(self):
+        with pytest.raises(ValueError, match="share a length"):
+            ETripleParam((0, 0), (0,), (0, 0))
+
     def test_measure_law_random(self):
         rng = random.Random(7)
         for _ in range(100):

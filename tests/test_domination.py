@@ -150,6 +150,12 @@ class TestLaver:
         p = laver_encode({(1, 2): 7, (): 2})
         assert LaverParam.from_json(p.to_json()) == p
 
+    def test_unsorted_or_repeated_entries_are_refused(self):
+        seqs = ((3,), (1,))
+        for entries in (((seq_code((3,)), 1), (seq_code((1,)), 1)), ((2, 1), (2, 1))):
+            with pytest.raises(ValueError, match="sorted by code"):
+                LaverParam(entries, seqs)
+
     def test_codes_are_the_sequence_codes(self):
         p = laver_encode({(3,): 9})
         assert p.entries == ((seq_code((3,)), 9),)

@@ -124,6 +124,13 @@ class TestClopenEnum:
         for n in range(5):
             assert clopen_rank(n, Clopen.empty()) == 0
 
+    def test_rank_refuses_a_negative_n_as_enum_does(self):
+        for c in (Clopen.empty(), Clopen.cylinder("01")):
+            with pytest.raises(IndexOutOfRange):
+                clopen_rank(-1, c)
+        with pytest.raises(IndexOutOfRange):
+            clopen_enum(-1, 1)
+
     def test_rank_rejects_large_measure(self):
         with pytest.raises(MeasureTooLarge):
             clopen_rank(1, Clopen.from_words(1, ["0"]))
@@ -344,6 +351,12 @@ class TestBasicOpen:
         with pytest.raises(IndexOutOfRange):
             basic_open("euclid", 1)
 
+    def test_indices_without_a_nonempty_set_are_refused(self):
+        with pytest.raises(IndexOutOfRange):
+            basic_word_cantor(0)
+        with pytest.raises(IndexOutOfRange):
+            basic_open_cantor(-1)
+
 
 def kprime_cantor_by_walk(n, m):
     """Entry m of the extensions of basic set n's word, found by walking
@@ -365,6 +378,12 @@ class TestKprime:
         for m in range(10):
             assert kprime(0, m) == 0
             assert kprime(0, m, "baire") == 0
+
+    def test_negative_arguments_and_unknown_spaces_are_refused(self):
+        with pytest.raises(IndexOutOfRange):
+            kprime(-1, 0)
+        with pytest.raises(IndexOutOfRange, match="unknown space"):
+            kprime(1, 0, "other")
 
     def test_first_subset_of_cylinder_is_itself(self):
         assert kprime(2, 0) == 2

@@ -85,7 +85,7 @@ class TestMemoAnswers:
             before = (repr(p), p.to_json())
             for n in range(p.horizon + 1):
                 outcome(p, "0000", p.rows, n)
-            assert p._unions and not blank._unions
+            assert p._states and not blank._states
             assert p == blank and hash(p) == hash(blank)
             assert (repr(p), p.to_json()) == before == (repr(blank), blank.to_json())
 
@@ -101,7 +101,7 @@ class TestMemoErrors:
             assert outcome(p, "01", 0, 3) == outcome(p, "01", 1, 3) == "FailsAtStage"
             blank = fresh(p)
             assert outcome(blank, "01", -1, 3) == ("IndexOutOfRange", {"message": "row counts are naturals"})
-            assert not blank._unions
+            assert not blank._states
             # no rows at all: the union of their closed sets is empty
             empty = type(p)((), 0, p.horizon)
             assert {outcome(empty, z, rows, 3) for z in ("", "01") for rows in (0, 2)} == {"FailsAtStage"}
@@ -139,7 +139,7 @@ class TestMemoErrors:
             with pytest.raises(InsufficientPrefix) as e:
                 EVALS[kind](p, "0", 1, n_max)
             assert e.value.required_length == missing + 1
-        assert not p._unions
+        assert not p._states
 
     @pytest.mark.parametrize("kind", [MeagerParam, EParam])
     def test_a_term_that_raises_leaves_the_memo_unchanged(self, kind, monkeypatch):
@@ -157,11 +157,11 @@ class TestMemoErrors:
         p = kind(pack_rows([good_row, bad_row]), 2, good.horizon)
         # stage 0 reads row 1's cells, but not the term past the cap
         assert outcome(p, "1", 1, 0) == outcome(good, "1", 1, 0)
-        memo = dict(p._unions)
+        memo = dict(p._states)
         assert list(memo) == [(0, 12), (1, 12)]
         # FAILS needs row 1's stage union even when only row 0 is searched
         for rows in (1, 2, 1):
             with pytest.raises(LevelCapExceeded):
                 EVALS[kind](p, "1", rows, p.horizon)
-            assert p._unions == memo
-            assert all(p._unions[k] is memo[k] for k in memo)
+            assert p._states == memo
+            assert all(p._states[k] is memo[k] for k in memo)

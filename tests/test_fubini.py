@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from idealis.errors import LengthMismatch
+from idealis.errors import LengthMismatch, LevelCapExceeded
 from idealis.fubini import (
     DensityProxy,
     ProductParam,
@@ -11,6 +11,7 @@ from idealis.fubini import (
     SomewhereDenseProxy,
     deinterleave,
     flagged_bits,
+    halves,
     interleave,
     product_encode,
     product_member,
@@ -117,6 +118,20 @@ class TestShape:
             assert quantifier_depth(shape) == 3
             assert all(quantifier_depth(child) == 2 for child in shape[1:])
 
+    def test_every_reader_of_the_variant_refuses_an_unknown_one(self):
+        assert halves("nm") == ("null", "meager") and halves("mn") == ("meager", "null")
+        readers = [
+            halves,
+            quantifier_shape,
+            lambda v: ProductParam(v, None, None),
+            lambda v: product_encode(v, None, None),
+            # named before either half is read
+            lambda v: ProductParam.from_json({"variant": v, "first": {}, "second": {}}),
+        ]
+        for read in readers:
+            with pytest.raises(ValueError, match="unknown variant 'xx'"):
+                read("xx")
+
     def test_component_shapes(self):
         assert quantifier_shape("nm")[1] == ("forall", ("exists", "clopen"))
         assert quantifier_shape("nm")[2] == ("exists", ("forall", "clopen"))
@@ -160,3 +175,8 @@ class TestDiagnostic:
             section_diagnostic(["10", "01", "11"], DensityProxy(1, 1))
         with pytest.raises(LengthMismatch):
             section_diagnostic(["10", "0"], DensityProxy(1, 1))
+
+    def test_a_square_past_the_cap_is_refused_before_any_row_is_read(self):
+        with pytest.raises(LevelCapExceeded) as e:
+            section_diagnostic([""] * 8192, DensityProxy(1, 1))
+        assert (e.value.level, e.value.cap) == (13, 12)

@@ -258,6 +258,14 @@ class TestMeager:
         with pytest.raises(InsufficientPrefix):
             meager_eval(p, "01", rows=1, n_max=5)
 
+    def test_a_word_not_of_bits_is_refused_after_the_horizon(self):
+        p = meager_encode([Clopen.full()], 4)
+        with pytest.raises(ValueError, match="bad word"):
+            meager_eval(p, "012", rows=1, n_max=4)
+        with pytest.raises(InsufficientPrefix):
+            meager_eval(p, "012", rows=1, n_max=5)
+        assert not p._states
+
     @pytest.mark.parametrize("cut,required", [(10, 14), (3, 6)])
     def test_short_prefix_names_first_missing_cell(self, cut, required):
         # two rows, horizon 3: row 0 sits at 0, 2, 5, 9 and row 1 at

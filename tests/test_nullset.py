@@ -149,6 +149,12 @@ class TestMember:
         with pytest.raises(InsufficientPrefix):
             null_member(f, "01", 1)
 
+    def test_a_word_not_of_bits_is_refused_before_any_scan(self):
+        f = NullParam(tuple([0] * 40), (4, 4))
+        with pytest.raises(ValueError, match="bad word"):
+            null_member(f, "0121", 1)
+        assert not f._states
+
     def test_json_round_trip(self):
         rng = random.Random(1)
         fam = family_covering_zero(rng, 3)
@@ -279,13 +285,13 @@ class TestScanMemo:
             with pytest.raises(InsufficientPrefix) as fresh:
                 ask(NullParam(short.prefix, short.witness), query)
             for _ in range(2):
-                memo = dict(short._scans)
+                memo = dict(short._states)
                 with pytest.raises(InsufficientPrefix) as again:
                     ask(short, query)
                 assert again.value.required_length == fresh.value.required_length
                 # a scan that raises stores nothing
-                assert short._scans == memo
-                assert all(short._scans[key] is memo[key] for key in memo)
+                assert short._states == memo
+                assert all(short._states[key] is memo[key] for key in memo)
         # every term and stage before the missing cell is still the guarded
         # scan's: row 2 for the term and stage queries, row 0 for the member
         for n in (0, 2):
@@ -342,7 +348,7 @@ class TestScanMemo:
             for query in (("term", n, k), ("stage", n, k)):
                 with pytest.raises((InsufficientPrefix, IndexOutOfRange)):
                     ask(f, query)
-        assert not f._scans
+        assert not f._states
         assert time.perf_counter() - start < 1.0
 
     def test_shared_instance_across_threads(self):

@@ -77,6 +77,12 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             Clopen(1, 0b11)
 
+    def test_rejects_a_negative_level_and_a_word_not_of_bits(self):
+        with pytest.raises(ValueError, match="negative level"):
+            Clopen(-1, 0)
+        with pytest.raises(ValueError, match="bad word '2' for level 1"):
+            Clopen.from_words(1, ["2"])
+
     @given(st.integers(0, 4), st.data())
     @settings(max_examples=200, deadline=None)
     def test_idempotent_and_measure_preserving(self, level, data):
@@ -201,6 +207,10 @@ class TestLift:
                 for c in sets:
                     if c.level <= level:
                         assert c.mask_at(level) == lift_by_strings(c.level, c.mask, level)
+
+    def test_mask_at_refuses_a_shallower_level(self):
+        with pytest.raises(ValueError, match="shallower"):
+            Clopen.cylinder("01").mask_at(1)
 
     def test_algebra_matches_string_lift(self):
         rng = random.Random(13)
