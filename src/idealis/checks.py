@@ -1,17 +1,21 @@
 """Seeded, deterministic property suites behind ``idealis check``.
 
-Each suite re-states the invariants its module promises and counts
-violations over seeded inputs; brute-force oracles are recomputed here
-rather than imported from the code paths they check.  Every suite takes
-its sizes as keyword arguments: the defaults are what ``idealis check``
-runs, and the acceptance criteria run the same suites at larger sizes.
-The unit tests import their oracles and generators from here too.
+Each suite re-states the invariants its module promises over seeded
+inputs; brute-force oracles are recomputed here rather than imported
+from the code paths they check.  A property yields one outcome per case,
+true when the case holds: its cases are the outcomes it yields and its
+failures are the false ones, so failures never exceed cases.  Every
+suite takes its sizes as keyword arguments: the defaults are what
+``idealis check`` runs, and the acceptance criteria run the same suites
+at larger sizes.  The unit tests import their oracles and generators
+from here too.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from .errors import InsufficientPrefix, UnknownSuite
@@ -64,8 +68,11 @@ from .fubini import (
 )
 
 
-def _prop(name, cases, failures):
-    return {"name": name, "cases": cases, "failures": failures}
+def _prop(name, oks):
+    """Count a property's case outcomes, draining them before it returns
+    so that the next property's draws start where these ended."""
+    tally = Counter(map(bool, oks))
+    return {"name": name, "cases": tally[True] + tally[False], "failures": tally[False]}
 
 
 # -- shared seeded generators -------------------------------------------------
@@ -132,56 +139,39 @@ def _decided_consistent(answers):
 
 def suite_space_algebra(seed):
     rng = random.Random(seed)
-    props = []
-
     small = [Clopen.from_mask(2, m) for m in range(16)]
-    bad = sum(
-        1
-        for a in small
-        for b in small
-        if a.union(b).measure() + a.intersect(b).measure()
-        != a.measure() + b.measure()
-    )
-    props.append(_prop("measure-additivity-exhaustive-level2", len(small) ** 2, bad))
-
-    bad = 0
-    for _ in range(150):
-        a, b = random_clopen(rng, 6), random_clopen(rng, 6)
-        lhs = a.union(b).measure() + a.intersect(b).measure()
-        if lhs != a.measure() + b.measure():
-            bad += 1
-    props.append(_prop("measure-additivity-seeded-level6", 150, bad))
-
-    bad = sum(
-        1
-        for a in small
-        for b in small
-        if a.subset(b) != a.intersect(b.complement()).is_empty
-        or a.complement().complement() != a
-    )
-    props.append(_prop("complement-involution-and-subset-law", len(small) ** 2, bad))
-
     seqs = [()]
     frontier = [()]
     for _ in range(4):
         frontier = [s + (a,) for s in frontier for a in range(8)]
         seqs.extend(frontier)
-    bad = sum(1 for s in seqs if seq_decode(seq_code(s)) != s)
-    props.append(_prop("sequence-code-round-trip", len(seqs), bad))
-
-    bad = sum(
-        1 for m in range(100) for n in range(100) if unpair(pair(m, n)) != (m, n)
-    )
-    props.append(_prop("pairing-inverse", 100 * 100, bad))
-
-    bad = 0
-    for _ in range(150):
-        c = random_clopen(rng, rng.randrange(7))
-        again = Clopen.from_words(c.level, c.words())
-        if again != c or again.measure() != c.measure():
-            bad += 1
-    props.append(_prop("canonicalize-idempotent", 150, bad))
-    return props
+    return [
+        _prop("measure-additivity-exhaustive-level2", (
+            a.union(b).measure() + a.intersect(b).measure() == a.measure() + b.measure()
+            for a in small
+            for b in small
+        )),
+        _prop("measure-additivity-seeded-level6", (
+            a.union(b).measure() + a.intersect(b).measure() == a.measure() + b.measure()
+            for _ in range(150)
+            for a, b in [(random_clopen(rng, 6), random_clopen(rng, 6))]
+        )),
+        _prop("complement-involution-and-subset-law", (
+            a.subset(b) == a.intersect(b.complement()).is_empty
+            and a.complement().complement() == a
+            for a in small
+            for b in small
+        )),
+        _prop("sequence-code-round-trip", (seq_decode(seq_code(s)) == s for s in seqs)),
+        _prop("pairing-inverse", (
+            unpair(pair(m, n)) == (m, n) for m in range(100) for n in range(100)
+        )),
+        _prop("canonicalize-idempotent", (
+            again == c and again.measure() == c.measure()
+            for c in (random_clopen(rng, rng.randrange(7)) for _ in range(150))
+            for again in [Clopen.from_words(c.level, c.words())]
+        )),
+    ]
 
 
 def brute_master_order(n, level_cap):
@@ -205,97 +195,68 @@ def suite_enum_bijection(seed, level_cap=3, n_cap=2, comb_cap=10, rank_enumerate
     """The enumeration draws nothing at random, so `seed` is unused.
     `rank_enumerated` also ranks every enumerated set and checks that
     they are distinct."""
-    props = []
 
-    bad = cases = 0
-    for n in range(n_cap + 1):
-        oracle = brute_master_order(n, level_cap)
-        got = [clopen_enum(n, k) for k in range(1, len(oracle) + 1)]
-        cases += len(oracle)
-        bad += sum(1 for g, o in zip(got, oracle) if g != o)
-        if rank_enumerated:
-            cases += len(got) + 1
-            bad += sum(1 for k, c in enumerate(got, start=1) if clopen_rank(n, c) != k)
-            bad += len(set(got)) != len(got)
-    props.append(_prop("master-order-completeness", cases, bad))
+    def master_order():
+        for n in range(n_cap + 1):
+            oracle = brute_master_order(n, level_cap)
+            got = [clopen_enum(n, k) for k in range(1, len(oracle) + 1)]
+            yield from (g == o for g, o in zip(got, oracle))
+            if rank_enumerated:
+                yield from (clopen_rank(n, c) == k for k, c in enumerate(got, start=1))
+                yield len(set(got)) == len(got)
 
-    bad = cases = 0
-    for n in range(4):
-        bound = Fraction(1, 1 << n)
-        for k in range(300):
-            cases += 1
-            c = clopen_enum(n, k)
-            if not c.measure() < bound or clopen_rank(n, c) != k:
-                bad += 1
-    props.append(_prop("measure-bound-and-rank-inverse", cases, bad))
-
-    bad = cases = 0
-    for space in ("cantor", "baire"):
-        for n in range(1, 6):
-            u_n = basic_open(space, n)
-            got = [kprime(n, m, space) for m in range(15)]
-            cases += 1
-            if got != sorted(set(got)):
-                bad += 1
-                continue
-            for k in got:
-                u_k = basic_open(space, k)
-                ok = (
-                    u_k.subset(u_n) and not u_k.is_empty
-                    if space == "cantor"
-                    else u_n.contains_stem(u_k) and not u_k.is_empty
+    def kprime_subsets():
+        for space in ("cantor", "baire"):
+            for n in range(1, 6):
+                u_n = basic_open(space, n)
+                got = [kprime(n, m, space) for m in range(15)]
+                yield got == sorted(set(got)) and all(
+                    (u_k.subset(u_n) if space == "cantor" else u_n.contains_stem(u_k))
+                    and not u_k.is_empty
+                    for u_k in (basic_open(space, k) for k in got)
                 )
-                if not ok:
-                    bad += 1
-    props.append(_prop("kprime-increasing-nonempty-subsets", cases, bad))
 
-    bad = cases = 0
-    for n in range(comb_cap + 1):
-        for t in range(n + 1):
-            oracle = list(itertools.combinations(range(n), t))
-            for r, expect in enumerate(oracle):
-                cases += 1
-                if kcomb_unrank(n, t, r) != expect or kcomb_rank(n, expect) != r:
-                    bad += 1
-    props.append(_prop("combinadic-round-trip", cases, bad))
-    return props
+    return [
+        _prop("master-order-completeness", master_order()),
+        _prop("measure-bound-and-rank-inverse", (
+            c.measure() < Fraction(1, 1 << n) and clopen_rank(n, c) == k
+            for n in range(4)
+            for k in range(300)
+            for c in [clopen_enum(n, k)]
+        )),
+        _prop("kprime-increasing-nonempty-subsets", kprime_subsets()),
+        _prop("combinadic-round-trip", (
+            kcomb_unrank(n, t, r) == expect and kcomb_rank(n, expect) == r
+            for n in range(comb_cap + 1)
+            for t in range(n + 1)
+            for r, expect in enumerate(itertools.combinations(range(n), t))
+        )),
+    ]
 
 
 def suite_meager_density(seed, prefixes=40, encoders=12, entry_bound=40, every_stage=False):
     """`every_stage` checks each prefix's section at every horizon up to
     10, not only at 10."""
     rng = random.Random(seed)
-    props = []
-
-    bad = cases = 0
-    for _ in range(prefixes):
-        x = tuple(rng.randrange(entry_bound) for _ in range(11))
-        for horizon in range(1 if every_stage else 10, 11):
-            stage = dense_section_stage(x, horizon)
-            cases += 1
-            if any(not stage.meets(basic_open_cantor(n)) for n in range(1, horizon + 1)):
-                bad += 1
-    props.append(_prop("sections-dense-at-stage-unconditionally", cases, bad))
-
-    bad = 0
-    for _ in range(encoders):
-        w = random_dense_clopen(rng, 8, 7)
-        x = dense_open_encode(w, 7)
-        if not dense_section_stage(x, 7).subset(w):
-            bad += 1
-    props.append(_prop("encoder-subset-law", encoders, bad))
-
-    bad = cases = 0
-    for _ in range(encoders):
-        w1 = random_dense_clopen(rng, 6, 5)
-        p = meager_encode([w1], 5)
-        outside = w1.complement()
-        for word in outside.words()[:4]:
-            cases += 1
-            if meager_eval(p, word, 1, 5) is not Tri.HOLDS:
-                bad += 1
-    props.append(_prop("complement-lands-in-meager-section", cases, bad))
-    return props
+    return [
+        _prop("sections-dense-at-stage-unconditionally", (
+            all(stage.meets(basic_open_cantor(n)) for n in range(1, horizon + 1))
+            for _ in range(prefixes)
+            for x in [tuple(rng.randrange(entry_bound) for _ in range(11))]
+            for horizon in range(1 if every_stage else 10, 11)
+            for stage in [dense_section_stage(x, horizon)]
+        )),
+        _prop("encoder-subset-law", (
+            dense_section_stage(dense_open_encode(w, 7), 7).subset(w)
+            for w in (random_dense_clopen(rng, 8, 7) for _ in range(encoders))
+        )),
+        _prop("complement-lands-in-meager-section", (
+            meager_eval(p, word, 1, 5) is Tri.HOLDS
+            for w1 in (random_dense_clopen(rng, 6, 5) for _ in range(encoders))
+            for p in [meager_encode([w1], 5)]
+            for word in w1.complement().words()[:4]
+        )),
+    ]
 
 
 def brute_fxp(x, partition, z, from_block):
@@ -330,70 +291,59 @@ def suite_fxp_oracle(seed, widths=3, blocks=2, exhaustive_len=4, class_lens=(5, 
     block fits, from its first and its last block.
     """
     rng = random.Random(seed)
-    props = []
-
     partitions = [
         partition_from(y)
         for length in range(1, blocks + 1)
         for y in itertools.product(range(widths), repeat=length)
     ]
-    bad = cases = 0
-    for p in partitions:
-        cov = p.covered
-        if cov > exhaustive_len:
-            continue
-        for xv in range(1 << cov):
-            x = format(xv, f"0{cov}b")
-            for zv in range(1 << cov):
-                z = format(zv, f"0{cov}b")
-                for fb in range(len(p.intervals)):
-                    cases += 1
-                    if not _fxp_agrees(x, p, z, fb):
-                        bad += 1
-    props.append(_prop("oracle-equivalence-exhaustive", cases, bad))
 
     # both sides depend on the prefixes only through their difference
     # pattern, so covering every pattern with seeded representatives is
     # exhaustive over behaviours
-    bad = cases = 0
-    for length in class_lens:
-        usable = [p for p in partitions if p.intervals[0][1] <= length][::6]
-        for dv in range(1 << length):
-            xv = rng.randrange(1 << length)
-            x = format(xv, f"0{length}b")
-            z = format(xv ^ dv, f"0{length}b")
-            for p in usable:
-                for fb in (0, len(p.intervals) - 1):
-                    cases += 1
-                    if not _fxp_agrees(x, p, z, fb):
-                        bad += 1
-    props.append(_prop("oracle-equivalence-difference-classes", cases, bad))
-    return props
+    def difference_classes():
+        for length in class_lens:
+            usable = [p for p in partitions if p.intervals[0][1] <= length][::6]
+            for dv in range(1 << length):
+                xv = rng.randrange(1 << length)
+                x = format(xv, f"0{length}b")
+                z = format(xv ^ dv, f"0{length}b")
+                yield from (
+                    _fxp_agrees(x, p, z, fb)
+                    for p in usable
+                    for fb in (0, len(p.intervals) - 1)
+                )
+
+    return [
+        _prop("oracle-equivalence-exhaustive", (
+            _fxp_agrees(x, p, z, fb)
+            for p in partitions
+            if p.covered <= exhaustive_len
+            for words in [[format(v, f"0{p.covered}b") for v in range(1 << p.covered)]]
+            for x in words
+            for z in words
+            for fb in range(len(p.intervals))
+        )),
+        _prop("oracle-equivalence-difference-classes", difference_classes()),
+    ]
 
 
 def suite_null_guard(seed, params=40, rows=9, k_hi=32, inner_bounds=()):
     """Each row's stage is checked at `k_hi` and at each of `inner_bounds`;
     a bound below the row's first term n + 1 reads as n + 1."""
     rng = random.Random(seed)
-    bad = cases = 0
-    for _ in range(params):
-        f = random_null_param(rng, rows, k_hi)
-        for n in range(rows):
-            for k in (k_hi, *inner_bounds):
-                stage = null_stage(f, n, max(k, n + 1))
-                cases += 1
-                if not stage.measure() < Fraction(1, 1 << n):
-                    bad += 1
-    return [_prop("stage-measure-strictly-below-budget", cases, bad)]
+    return [_prop("stage-measure-strictly-below-budget", (
+        null_stage(f, n, max(k, n + 1)).measure() < Fraction(1, 1 << n)
+        for f in (random_null_param(rng, rows, k_hi) for _ in range(params))
+        for n in range(rows)
+        for k in (k_hi, *inner_bounds)
+    ))]
 
 
 def suite_null_encoder(seed, families=8, depth_cap=5, every_stage=False):
     """`every_stage` checks the covered point at every stage, not only at
     the family's last."""
     rng = random.Random(seed)
-    props = []
-    tail_bad = block_bad = guard_bad = cover_bad = 0
-    tail_cases = block_cases = guard_cases = cover_cases = 0
+    tails, blocks, guards, covers = [], [], [], []
     for _ in range(families):
         depth = rng.randint(1, depth_cap)
         fam = random_cover_family(rng, depth)
@@ -406,32 +356,27 @@ def suite_null_encoder(seed, families=8, depth_cap=5, every_stage=False):
         for n in range(depth):
             cut = enc.cuts[n + 1]
             tail = suffix[cut] if cut < len(suffix) else Fraction(0)
-            tail_cases += 1
-            if not tail < Fraction(1, 2 ** (n + 1)):
-                tail_bad += 1
+            tails.append(tail < Fraction(1, 2 ** (n + 1)))
         for m in range(depth):
             block = Clopen.empty()
             for piece in enc.flat[enc.cuts[m] : enc.cuts[m + 1]]:
                 block = block.union(piece)
-            block_cases += 1
-            if not block.measure() < Fraction(1, 2**m):
-                block_bad += 1
+            blocks.append(block.measure() < Fraction(1, 2**m))
         for n in range(depth):
             k_hi = f.witness[n]
             raw = [clopen_enum(n, f.cell(n, k)) for k in range(n + 1, k_hi + 1)]
             guarded = [null_term(f, n, k) for k in range(n + 1, k_hi + 1)]
-            guard_cases += 1
-            if raw != guarded:
-                guard_bad += 1
-        for n in range(0 if every_stage else depth - 1, depth):
-            cover_cases += 1
-            if null_member(f, "0" * 10, n) is not Tri.HOLDS:
-                cover_bad += 1
-    props.append(_prop("tail-sum-bound", tail_cases, tail_bad))
-    props.append(_prop("block-measure-bound", block_cases, block_bad))
-    props.append(_prop("guard-identity-on-encoder-output", guard_cases, guard_bad))
-    props.append(_prop("covered-point-membership", cover_cases, cover_bad))
-    return props
+            guards.append(raw == guarded)
+        covers += (
+            null_member(f, "0" * 10, n) is Tri.HOLDS
+            for n in range(0 if every_stage else depth - 1, depth)
+        )
+    return [
+        _prop("tail-sum-bound", tails),
+        _prop("block-measure-bound", blocks),
+        _prop("guard-identity-on-encoder-output", guards),
+        _prop("covered-point-membership", covers),
+    ]
 
 
 def _term_cardinality_holds(p, n, term):
@@ -446,40 +391,28 @@ def suite_e_fullness(seed, params=30, n_max=6, encoders=10, x1_bound=12, every_s
     law at every position of the same parameters, and zeroes x1 on every
     other one so that the lifted-level branch is reached."""
     rng = random.Random(seed)
-    props = []
-
-    full_bad = full_cases = term_bad = term_cases = 0
+    fulls, terms = [], []
     for i in range(params):
         p = random_triple(rng, n_max + 1, x1_bound=x1_bound)
         if every_stage and i % 2:
             p = ETripleParam(p.x0, (0,) * p.positions, p.x2)
         for n in range(0 if every_stage else n_max, n_max + 1):
-            full_cases += 1
-            if not e_open_stage(p, n).measure() >= 1 - Fraction(1, 1 << n):
-                full_bad += 1
+            fulls.append(e_open_stage(p, n).measure() >= 1 - Fraction(1, 1 << n))
             if every_stage:
-                term_cases += 1
-                if not _term_cardinality_holds(p, n, e_term(p, n)):
-                    term_bad += 1
-    props.append(_prop("stage-fullness-unconditional", full_cases, full_bad))
-
-    for _ in range(params):
-        n = rng.randrange(n_max + 1)
-        p = random_triple(rng, n + 1, x1_bound=x1_bound)
-        term_cases += 1
-        if not _term_cardinality_holds(p, n, e_term(p, n)):
-            term_bad += 1
-    props.append(_prop("term-cardinality-law", term_cases, term_bad))
-
-    bad = 0
-    for _ in range(encoders):
-        lvl = rng.randint(4, 7)
-        v = Clopen.cylinder(format(rng.randrange(1 << lvl), f"0{lvl}b")).complement()
-        p = e_open_encode(v, lvl - 1)
-        if not e_open_stage(p, lvl - 1).subset(v):
-            bad += 1
-    props.append(_prop("encoder-subset-law", encoders, bad))
-    return props
+                terms.append(_term_cardinality_holds(p, n, e_term(p, n)))
+    return [
+        _prop("stage-fullness-unconditional", fulls),
+        _prop("term-cardinality-law", itertools.chain(terms, (
+            _term_cardinality_holds(p, n, e_term(p, n))
+            for n in (rng.randrange(n_max + 1) for _ in range(params))
+            for p in [random_triple(rng, n + 1, x1_bound=x1_bound)]
+        ))),
+        _prop("encoder-subset-law", (
+            e_open_stage(e_open_encode(v, lvl - 1), lvl - 1).subset(v)
+            for lvl in (rng.randint(4, 7) for _ in range(encoders))
+            for v in [Clopen.cylinder(format(rng.randrange(1 << lvl), f"0{lvl}b")).complement()]
+        )),
+    ]
 
 
 def brute_witnesses(phi, f, n0, n1):
@@ -502,156 +435,131 @@ def suite_domination(
     to a random number of them from lo to hi); every f in
     alphabet^length is counted over every window."""
     rng = random.Random(seed)
-    props = []
-
-    bad = 0
-    for _ in range(bounds):
-        y = KsigmaParam(tuple(rng.randrange(9) for _ in range(12)))
-        g = ksigma_diagonal(y)
-        if any(dominated_from(y, g, n) for n in range(11)):
-            bad += 1
-    props.append(_prop("diagonal-escapes-every-stage", bounds, bad))
-
-    bad = 0
-    for _ in range(bounds):
-        pts = [tuple(rng.randrange(10) for _ in range(10)) for _ in range(rng.randint(1, 5))]
-        y = ksigma_encode(pts)
-        if any(not dominated_from(y, p, 0) for p in pts):
-            bad += 1
-    props.append(_prop("bound-dominates-inputs", bounds, bad))
-
     universe = [()]
     for size in range(1, length):
         universe += list(itertools.product(range(alphabet), repeat=size))
     points = list(itertools.product(range(alphabet), repeat=length))
-    bad = cases = 0
-    for _ in range(maps):
-        size = labelled if isinstance(labelled, int) else rng.randint(*labelled)
-        phi = {s: rng.randrange(alphabet) for s in rng.sample(universe, size)}
-        p = laver_encode(phi)
-        for f in points:
-            for n0, n1 in windows:
-                cases += 1
-                if laver_witnesses(p, f, n0, n1) != brute_witnesses(phi, f, n0, n1):
-                    bad += 1
-    props.append(_prop("witness-count-oracle", cases, bad))
+
+    def witness_counts():
+        for _ in range(maps):
+            size = labelled if isinstance(labelled, int) else rng.randint(*labelled)
+            phi = {s: rng.randrange(alphabet) for s in rng.sample(universe, size)}
+            p = laver_encode(phi)
+            yield from (
+                laver_witnesses(p, f, n0, n1) == brute_witnesses(phi, f, n0, n1)
+                for f in points
+                for n0, n1 in windows
+            )
 
     zero = laver_encode({})
-    bad = sum(1 for f in points if laver_witnesses(zero, f, 0, length) != 0)
-    props.append(_prop("zero-labelling-never-witnesses", len(points), bad))
-    return props
+    return [
+        _prop("diagonal-escapes-every-stage", (
+            not any(dominated_from(y, g, n) for n in range(11))
+            for _ in range(bounds)
+            for y in [KsigmaParam(tuple(rng.randrange(9) for _ in range(12)))]
+            for g in [ksigma_diagonal(y)]
+        )),
+        _prop("bound-dominates-inputs", (
+            all(dominated_from(y, p, 0) for p in pts)
+            for pts in (
+                [tuple(rng.randrange(10) for _ in range(10)) for _ in range(rng.randint(1, 5))]
+                for _ in range(bounds)
+            )
+            for y in [ksigma_encode(pts)]
+        )),
+        _prop("witness-count-oracle", witness_counts()),
+        _prop("zero-labelling-never-witnesses", (
+            laver_witnesses(zero, f, 0, length) == 0 for f in points
+        )),
+    ]
 
 
 def suite_tri_monotone(seed, per_module=30, null_rows=6, null_k_hi=16, null_z_bits=4):
+    """Each sweep draws `per_module` cases; a case holds when the answers
+    at its stages never decide both ways."""
     rng = random.Random(seed)
-    props = []
 
-    bad = 0
-    for _ in range(per_module):
+    def countable():
         depth = rng.randint(2, 6)
         pts = [tuple(rng.randrange(4) for _ in range(depth)) for _ in range(rng.randint(0, 5))]
         y = countable_encode(pts, depth)
         x = tuple(rng.randrange(4) for _ in range(depth))
-        answers = [
+        return (
             countable_member(y, x, rows, d)
             for rows in range(len(pts) + 2)
             for d in range(1, depth + 1)
-        ]
-        if not _decided_consistent(answers):
-            bad += 1
-    props.append(_prop("countable-stage-sweep", per_module, bad))
+        )
 
-    bad = 0
-    for _ in range(per_module):
+    def meager():
         horizon = rng.randint(2, 6)
         rows = rng.randint(1, 3)
         size = 1 + max(pair(r, n) for r in range(rows) for n in range(horizon + 1))
         p = MeagerParam(tuple(rng.randrange(12) for _ in range(size)), rows, horizon)
         z = format(rng.randrange(16), "04b")
-        answers = [meager_eval(p, z, rows, n) for n in range(1, horizon + 1)]
-        if not _decided_consistent(answers):
-            bad += 1
-    props.append(_prop("meager-stage-sweep", per_module, bad))
+        return (meager_eval(p, z, rows, n) for n in range(1, horizon + 1))
 
-    bad = 0
-    for _ in range(per_module):
+    def null():
         f = random_null_param(rng, null_rows, null_k_hi)
         z = format(rng.randrange(1 << null_z_bits), f"0{null_z_bits}b")
-        answers = [null_member(f, z, n) for n in range(null_rows)]
-        if not _decided_consistent(answers):
-            bad += 1
-    props.append(_prop("null-stage-sweep", per_module, bad))
+        return (null_member(f, z, n) for n in range(null_rows))
 
-    bad = 0
-    for _ in range(per_module):
+    def e():
         horizon = rng.randint(1, 5)
         triples = [random_triple(rng, horizon + 1) for _ in range(rng.randint(1, 2))]
         p = EParam.from_triples(triples, horizon)
         z = format(rng.randrange(32), "05b")
-        answers = [e_fsigma_member(p, z, p.rows, n) for n in range(horizon + 1)]
-        if not _decided_consistent(answers):
-            bad += 1
-    props.append(_prop("e-stage-sweep", per_module, bad))
-    return props
+        return (e_fsigma_member(p, z, p.rows, n) for n in range(horizon + 1))
+
+    return [
+        _prop(f"{name}-stage-sweep", (_decided_consistent(sweep()) for _ in range(per_module)))
+        for name, sweep in (("countable", countable), ("meager", meager), ("null", null), ("e", e))
+    ]
 
 
 def suite_fubini(seed):
     rng = random.Random(seed)
-    props = []
-
-    bad = 0
-    for _ in range(60):
-        n = rng.randrange(11)
-        y = "".join(rng.choice("01") for _ in range(n))
-        z = "".join(rng.choice("01") for _ in range(n))
-        if deinterleave(interleave(ProductPoint(y, z))) != ProductPoint(y, z):
-            bad += 1
-    props.append(_prop("interleave-round-trip", 60, bad))
-
-    bad = 0
-    for a, b in itertools.product(Tri, repeat=2):
-        expect = (
-            Tri.HOLDS
-            if Tri.HOLDS in (a, b)
-            else Tri.FAILS
-            if (a, b) == (Tri.FAILS, Tri.FAILS)
-            else Tri.UNKNOWN
-        )
-        if tri_or(a, b) is not expect:
-            bad += 1
-    props.append(_prop("composition-table", 9, bad))
-
     refines = lambda s, t: s is t or s is Tri.UNKNOWN
-    bad = 0
-    for a, b, a2, b2 in itertools.product(Tri, repeat=4):
-        if refines(a, a2) and refines(b, b2):
-            if not refines(tri_or(a, b), tri_or(a2, b2)):
-                bad += 1
-    props.append(_prop("composition-monotone", 81, bad))
-
-    bad = 0
-    for variant in ("nm", "mn"):
-        shape = quantifier_shape(variant)
-        if quantifier_depth(shape) != 3 or shape[0] != "union":
-            bad += 1
-        if any(quantifier_depth(child) != 2 for child in shape[1:]):
-            bad += 1
-    props.append(_prop("quantifier-shape-depth-three", 2, bad))
-
-    d = 3
-    diag = []
-    for i in range(1 << d):
-        row = ["0"] * (1 << d)
-        row[i] = "1"
-        diag.append("".join(row))
-    full = ["1" * (1 << d)] * (1 << d)
-    ok = (
-        section_diagnostic(full, DensityProxy(1, 1)) == (1 << (1 << d)) - 1
-        and section_diagnostic(diag, DensityProxy(1, 1)) == 0
-        and section_diagnostic(full, SomewhereDenseProxy(2)) == (1 << (1 << d)) - 1
-    )
-    props.append(_prop("diagnostic-examples", 3, 0 if ok else 1))
-    return props
+    w = 1 << 3
+    diag = ["0" * i + "1" + "0" * (w - 1 - i) for i in range(w)]
+    full = ["1" * w] * w
+    every = (1 << w) - 1
+    return [
+        _prop("interleave-round-trip", (
+            deinterleave(interleave(pt)) == pt
+            for n in (rng.randrange(11) for _ in range(60))
+            for pt in [ProductPoint(
+                "".join(rng.choice("01") for _ in range(n)),
+                "".join(rng.choice("01") for _ in range(n)),
+            )]
+        )),
+        _prop("composition-table", (
+            tri_or(a, b)
+            is (
+                Tri.HOLDS
+                if Tri.HOLDS in (a, b)
+                else Tri.FAILS
+                if (a, b) == (Tri.FAILS, Tri.FAILS)
+                else Tri.UNKNOWN
+            )
+            for a, b in itertools.product(Tri, repeat=2)
+        )),
+        _prop("composition-monotone", (
+            not (refines(a, a2) and refines(b, b2))
+            or refines(tri_or(a, b), tri_or(a2, b2))
+            for a, b, a2, b2 in itertools.product(Tri, repeat=4)
+        )),
+        _prop("quantifier-shape-depth-three", (
+            quantifier_depth(shape) == 3
+            and shape[0] == "union"
+            and all(quantifier_depth(child) == 2 for child in shape[1:])
+            for shape in map(quantifier_shape, ("nm", "mn"))
+        )),
+        _prop("diagnostic-examples", (
+            section_diagnostic(full, DensityProxy(1, 1)) == every,
+            section_diagnostic(diag, DensityProxy(1, 1)) == 0,
+            section_diagnostic(full, SomewhereDenseProxy(2)) == every,
+        )),
+    ]
 
 
 SUITES = {

@@ -73,7 +73,7 @@ def _baire(values) -> tuple:
 
 
 def _bits(word: str) -> str:
-    if set(word) - {"0", "1"}:
+    if not isinstance(word, str) or set(word) - {"0", "1"}:
         raise MalformedInput(f"not a 0/1 word: {word!r}")
     return word
 
@@ -245,7 +245,10 @@ def cmd_fubini(args) -> dict:
             meager_rows=args.meager_rows,
         )
         return {"result": got.value}
-    rows = [_bits(r) for r in _arg_json(args.rows)]
+    rows = _arg_json(args.rows)
+    if not isinstance(rows, list):
+        raise MalformedInput("--rows must be a JSON array of 0/1 words")
+    rows = [_bits(r) for r in rows]
     if args.proxy == "null":
         if args.epsilon is None:
             raise MalformedInput("--proxy null needs --epsilon")

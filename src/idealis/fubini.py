@@ -208,7 +208,7 @@ def section_diagnostic(rows: Sequence[str], proxy) -> int:
     """
     count = len(rows)
     d = count.bit_length() - 1
-    if count != 1 << d:
+    if count < 1 or count != 1 << d:
         raise LengthMismatch("row count must be a power of two")
     if d > _DIAGNOSTIC_CAP:
         raise LevelCapExceeded(d, _DIAGNOSTIC_CAP)
@@ -218,7 +218,7 @@ def section_diagnostic(rows: Sequence[str], proxy) -> int:
     for i, row_bits in enumerate(rows):
         if len(row_bits) != count:
             raise LengthMismatch(f"row {i} has length {len(row_bits)}")
-        row = int(row_bits[::-1], 2) if row_bits else 0
+        row = int(row_bits[::-1], 2)
         if proxy.flags(row, d):
             flagged |= 1 << i
     return flagged

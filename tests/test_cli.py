@@ -146,7 +146,7 @@ def test_check_all_passes():
 def test_a_property_with_no_cases_fails_its_suite(monkeypatch):
     from idealis import checks
 
-    monkeypatch.setitem(checks.SUITES, "hollow", lambda seed: [checks._prop("nothing", 0, 0)])
+    monkeypatch.setitem(checks.SUITES, "hollow", lambda seed: [checks._prop("nothing", ())])
     assert checks.run_suite("hollow", 0)["pass"] is False
     code, out = run_cli(["check", "--suite", "hollow"])
     assert code == 1 and json.loads(out)["pass"] is False
@@ -363,10 +363,14 @@ NINES = "9" * 3000
         ["laver", "encode", "--phi", '[{"seq":[1e309],"val":1}]'],
         ["space", "seq"],
         ["fubini", "diagnose", "--rows", '["1100","0000"]', "--proxy", "null"],
+        ["fubini", "diagnose", "--rows", "[1]", "--proxy", "nwd"],
+        ["fubini", "diagnose", "--rows", '"1"', "--proxy", "nwd"],
+        ["fubini", "diagnose", "--rows", '{"1":0}', "--proxy", "nwd"],
     ],
     ids=[
         "deep-json-file", "deep-json-inline", "pair-past-digit-limit", "seq-past-digit-limit",
         "float-overflow", "seq-without-encode-or-decode", "null-proxy-without-epsilon",
+        "diagnose-row-not-a-string", "diagnose-rows-a-string", "diagnose-rows-an-object",
     ],
 )
 def test_hostile_argv_ends_in_one_malformed_input_document(argv, tmp_path):
@@ -585,10 +589,12 @@ def test_fubini_encode_reads_the_x_half_then_the_plane_half_by_variant(variant):
         (json_argv("null_eval", "--param", "witness", [10, 1]), 2, "InsufficientPrefix"),
         (golden_argv("e_term", "--n", "3"), 2, "InsufficientPrefix"),
         (golden_argv("e_pack", "--horizon", "3"), 2, "InsufficientPrefix"),
+        (golden_argv("fubini_diagnose_nwd", "--rows", "[]"), 2, "LengthMismatch"),
     ],
     ids=[
         "param-of-another-ideal", "split-past-d", "null-stage-k-not-past-n",
         "witness-bound-not-past-its-row", "e-term-past-the-positions", "e-pack-short-triple",
+        "diagnose-no-rows",
     ],
 )
 def test_a_broken_contract_exits_with_its_name(argv, code, error):

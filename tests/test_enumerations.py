@@ -345,6 +345,13 @@ class TestBasicOpen:
         for n in range(2, 50):
             assert basic_open_baire(n) == BaireCylinder(seq_decode(n - 1))
 
+    def test_the_empty_cylinder_is_inside_every_cylinder_and_holds_none(self):
+        empty, whole, stem = BaireCylinder(None), BaireCylinder(()), BaireCylinder((2, 0))
+        assert whole.contains_stem(empty) and stem.contains_stem(empty)
+        assert empty.contains_stem(empty)
+        assert not empty.contains_stem(whole) and not empty.contains_stem(stem)
+        assert whole.contains_stem(stem) and not stem.contains_stem(whole)
+
     def test_dispatch(self):
         assert basic_open("cantor", 2) == Clopen.cylinder("0")
         assert basic_open("baire", 1) == BaireCylinder(())
