@@ -72,10 +72,22 @@ def _baire(values) -> tuple:
     return _naturals(values, True, "sequence entries")
 
 
+#: the longest rejected word an error message shows whole
+_SHOWN = 32
+
+
 def _bits(word: str) -> str:
-    if not isinstance(word, str) or set(word) - {"0", "1"}:
-        raise MalformedInput(f"not a 0/1 word: {word!r}")
-    return word
+    """`word`, if it is a 0/1 word.  Otherwise MalformedInput names it: a
+    string past ``_SHOWN`` characters, or another value whose repr is
+    that long, by its length and its first ``_SHOWN`` characters."""
+    if isinstance(word, str) and not set(word) - {"0", "1"}:
+        return word
+    text = word if isinstance(word, str) else repr(word)
+    if len(text) > _SHOWN:
+        raise MalformedInput(
+            f"not a 0/1 word: {len(text)} characters, starting {text[:_SHOWN]!r}"
+        )
+    raise MalformedInput(f"not a 0/1 word: {word!r}")
 
 
 # -- subcommand handlers -----------------------------------------------------

@@ -16,16 +16,15 @@ row-union memo (``RowParam.state``) and evaluator
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import comb
-from typing import Callable, Sequence
 
 from .errors import IndexOutOfRange, InsufficientPrefix, InsufficientResolution
 from .space import (
     BitWord,
     Clopen,
     FsigmaParam,
+    Record,
     Tri,
     _naturals,
     _require_level,
@@ -37,17 +36,15 @@ from .space import (
 from .enumerations import kcomb_rank_mask, kcomb_unrank_mask_below
 
 
-@dataclass(frozen=True)
-class ETripleParam:
+class ETripleParam(Record):
     """Three coordinate prefixes steering size, level and subset choice."""
 
-    x0: tuple
-    x1: tuple
-    x2: tuple
+    _fields = ("x0", "x1", "x2")
 
-    def __post_init__(self):
-        if not len(self.x0) == len(self.x1) == len(self.x2):
+    def __init__(self, x0: tuple, x1: tuple, x2: tuple):
+        if not len(x0) == len(x1) == len(x2):
             raise ValueError("coordinate prefixes must share a length")
+        super().__init__(x0, x1, x2)
 
     @property
     def positions(self) -> int:
@@ -158,7 +155,6 @@ def e_open_encode(v: Clopen, m_max: int) -> ETripleParam:
     return ETripleParam(tuple(x0), tuple(x1), tuple(x2))
 
 
-@dataclass(frozen=True)
 class EParam(FsigmaParam):
     """Rows of triple parameters: row r's terms are the E terms of the
     triple it packs."""

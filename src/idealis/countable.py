@@ -11,17 +11,12 @@ are about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 from .errors import IndexOutOfRange, InsufficientPrefix
-from .space import BairePrefix, Tri, _naturals, matrix_entry, pack_rows, pair
+from .space import BairePrefix, Record, Tri, _naturals, matrix_entry, pack_rows, pair
 
 
-@dataclass(frozen=True)
-class CountableParam:
-    prefix: tuple
-    rows: int
+class CountableParam(Record):
+    _fields = ("prefix", "rows")
 
     def cell(self, n: int, k: int) -> int:
         return matrix_entry(self.prefix, n, k, zero_past_end=True)

@@ -19,18 +19,14 @@ witness count stops after the longest labelled length.  Only
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
 from .errors import IndexOutOfRange, InsufficientPrefix
-from .space import BairePrefix, _naturals, seq_code
+from .space import BairePrefix, Record, _naturals, seq_code
 
 
-@dataclass(frozen=True)
-class KsigmaParam:
+class KsigmaParam(Record):
     """A pointwise bound, the parameter of the eventual-domination layer."""
 
-    bound: tuple
+    _fields = ("bound",)
 
     def to_json(self) -> dict:
         return {"prefix": list(self.bound)}
@@ -63,20 +59,24 @@ def ksigma_diagonal(y: KsigmaParam) -> tuple:
     return tuple(v + 1 for v in y.bound)
 
 
-@dataclass(frozen=True)
-class LaverParam:
-    """Sparse labelling of finite sequences, each kept beside its code."""
+class LaverParam(Record):
+    """Sparse labelling of finite sequences, each kept beside its code.
 
-    entries: tuple  # sorted (code, value) pairs with nonzero values
-    seqs: tuple = field(repr=False, compare=False)  # each entry's sequence
+    ``entries`` holds the sorted (code, value) pairs with nonzero values,
+    the one compared field; ``seqs`` holds each entry's sequence.
+    """
 
-    def __post_init__(self):
-        codes = [c for c, _ in self.entries]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple, seqs: tuple):
+        codes = [c for c, _ in entries]
         if codes != sorted(set(codes)):
             raise ValueError("entries must be sorted by code, without repeats")
-        values = [v for _, v in self.entries]
-        object.__setattr__(self, "_by_seq", dict(zip(self.seqs, values)))
-        object.__setattr__(self, "_depth", max(map(len, self.seqs), default=-1))
+        super().__init__(entries)
+        values = [v for _, v in entries]
+        object.__setattr__(self, "seqs", seqs)
+        object.__setattr__(self, "_by_seq", dict(zip(seqs, values)))
+        object.__setattr__(self, "_depth", max(map(len, seqs), default=-1))
 
     def label(self, s: Sequence[int]) -> int:
         s = tuple(s)

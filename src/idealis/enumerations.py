@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, lgamma, log, perm
 
 from .errors import IndexOutOfRange, LevelCapExceeded, MeasureTooLarge
-from .space import Clopen, _require_level, index_word, max_level, pair, seq_decode
+from .space import Clopen, Record, _require_level, index_word, max_level, pair, seq_decode
 
 CANTOR = "cantor"
 BAIRE = "baire"
@@ -275,14 +274,13 @@ def clopen_rank(n: int, c: Clopen) -> int:
 # -- basic open sets --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaireCylinder:
-    """Basic open set of Baire space: all extensions of `stem`.
+class BaireCylinder(Record):
+    """Basic open set of Baire space: all extensions of `stem`, a tuple.
 
     ``stem=None`` denotes the empty set (index 0 of the enumeration).
     """
 
-    stem: tuple | None
+    _fields = ("stem",)
 
     @property
     def is_empty(self) -> bool:

@@ -12,11 +12,8 @@ union over the two components' two-deep shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 from .errors import IndexOutOfRange, LengthMismatch, LevelCapExceeded
-from .space import BitWord, Tri, tri_or
+from .space import BitWord, Record, Tri, check_word, tri_or
 from .meager import MeagerParam, meager_encode, meager_eval
 from .nullset import NullParam, null_encode, null_member
 
@@ -26,14 +23,13 @@ MEAGER_OVER_NULL = "mn"
 _DIAGNOSTIC_CAP = 12
 
 
-@dataclass(frozen=True)
-class ProductPoint:
-    y: BitWord
-    z: BitWord
+class ProductPoint(Record):
+    _fields = ("y", "z")
 
-    def __post_init__(self):
-        if len(self.y) != len(self.z):
+    def __init__(self, y: BitWord, z: BitWord):
+        if len(y) != len(z):
             raise LengthMismatch("product point coordinates differ in length")
+        super().__init__(y, z)
 
 
 def interleave(p: ProductPoint) -> BitWord:
@@ -60,14 +56,15 @@ def halves(variant: str) -> tuple[str, str]:
 _HALF_PARAMS = {"null": NullParam, "meager": MeagerParam}
 
 
-@dataclass(frozen=True)
-class ProductParam:
-    variant: str
-    first: object   # factor parameter
-    second: object  # planar parameter
+class ProductParam(Record):
+    """A product's variant, its factor parameter ``first`` and its planar
+    parameter ``second``."""
 
-    def __post_init__(self):
-        halves(self.variant)
+    _fields = ("variant", "first", "second")
+
+    def __init__(self, variant: str, first, second):
+        halves(variant)
+        super().__init__(variant, first, second)
 
     def to_json(self) -> dict:
         return {
@@ -137,8 +134,7 @@ def quantifier_depth(shape) -> int:
 # -- planar diagnostics ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DensityProxy:
+class DensityProxy(Record):
     """Flag sections whose density reaches the threshold num / 2^exp.
 
     Stands in for smallness in measure at one finite resolution; the
@@ -146,17 +142,15 @@ class DensityProxy:
     threshold is kept in lowest terms (num odd, or exp 0).
     """
 
-    num: int
-    exp: int
+    _fields = ("num", "exp")
 
-    def __post_init__(self):
-        if self.num < 0 or self.exp < 0:
+    def __init__(self, num: int, exp: int):
+        if num < 0 or exp < 0:
             raise ValueError("dyadic parts must be non-negative")
         # strip the factors of two num and 2^exp share: num's trailing
         # zeros, or all of exp when num is 0
-        shift = min((self.num & -self.num).bit_length() - 1, self.exp) if self.num else self.exp
-        object.__setattr__(self, "num", self.num >> shift)
-        object.__setattr__(self, "exp", self.exp - shift)
+        shift = min((num & -num).bit_length() - 1, exp) if num else exp
+        super().__init__(num >> shift, exp - shift)
 
     def flags(self, row: int, d: int) -> bool:
         # count / 2^d >= num / 2^exp, times 2^max(d, exp).  Shifted by b =
@@ -175,15 +169,15 @@ class DensityProxy:
         }
 
 
-@dataclass(frozen=True)
-class SomewhereDenseProxy:
+class SomewhereDenseProxy(Record):
     """Flag sections meeting every cylinder at the split level."""
 
-    split: int
+    _fields = ("split",)
 
-    def __post_init__(self):
-        if self.split < 0:
+    def __init__(self, split: int):
+        if split < 0:
             raise IndexOutOfRange("split levels are naturals")
+        super().__init__(split)
 
     def flags(self, row: int, d: int) -> bool:
         width = 1 << (d - self.split)
@@ -205,6 +199,8 @@ def section_diagnostic(rows: Sequence[str], proxy) -> int:
 
     `rows` lists, per level-d word in lexicographic order, the section's
     membership string over the level-d words of the second coordinate.
+    A row of the wrong length raises LengthMismatch, and then a row that
+    is not a 0/1 word ValueError.
     """
     count = len(rows)
     d = count.bit_length() - 1
@@ -218,6 +214,7 @@ def section_diagnostic(rows: Sequence[str], proxy) -> int:
     for i, row_bits in enumerate(rows):
         if len(row_bits) != count:
             raise LengthMismatch(f"row {i} has length {len(row_bits)}")
+        check_word(row_bits, count)
         row = int(row_bits[::-1], 2)
         if proxy.flags(row, d):
             flagged |= 1 << i

@@ -16,9 +16,7 @@ predicate used by the combinatorial meager base lives here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
 
 from .errors import IndexOutOfRange, InsufficientPrefix, LevelCapExceeded, NotDense
 from .space import (
@@ -26,6 +24,7 @@ from .space import (
     BitWord,
     Clopen,
     FsigmaParam,
+    Record,
     Tri,
     matrix_entry,
     max_level,
@@ -34,18 +33,18 @@ from .space import (
 from .enumerations import basic_open_cantor, basic_word_cantor, kprime
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
+class IntervalPartition(Record):
     """Consecutive intervals [a, b) covering an initial segment of omega."""
 
-    intervals: tuple
+    _fields = ("intervals",)
 
-    def __post_init__(self):
+    def __init__(self, intervals: tuple):
         start = 0
-        for a, b in self.intervals:
+        for a, b in intervals:
             if a != start or b <= a:
                 raise ValueError("intervals must be consecutive and nonempty")
             start = b
+        super().__init__(intervals)
 
     @property
     def covered(self) -> int:
@@ -160,7 +159,6 @@ def dense_open_encode(w: Clopen, n_max: int) -> tuple:
 # -- meager sections ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MeagerParam(FsigmaParam):
     """Rows of dense-open parameters: row r's terms are the dense-open
     terms of cells (r, 0) .. (r, horizon)."""

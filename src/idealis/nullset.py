@@ -27,13 +27,12 @@ covered point evaluate as a member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import InsufficientPrefix, InvariantViolated
 from .space import (
-    BitWord, Clopen, RowParam, Tri, _naturals, check_word, matrix_entry, max_level, pack_rows,
+    BitWord, Clopen, Record, RowParam, Tri, _naturals, check_word, matrix_entry, max_level,
+    pack_rows,
 )
 from .enumerations import clopen_enum, clopen_rank
 
@@ -45,14 +44,13 @@ _PAD = 4
 _EMPTY = Clopen.empty()
 
 
-@dataclass(frozen=True)
-class CoverFamily:
+class CoverFamily(Record):
     """Per-n clopen covers with exact tail bound sum < 2^-(n+1)."""
 
-    covers: tuple
+    _fields = ("covers",)
 
-    def __post_init__(self):
-        for n, pieces in enumerate(self.covers):
+    def __init__(self, covers: tuple):
+        for n, pieces in enumerate(covers):
             total = sum((c.measure() for c in pieces), Fraction(0))
             if not total < Fraction(1, 2 << n):
                 exp = total.denominator.bit_length() - 1
@@ -60,6 +58,7 @@ class CoverFamily:
                     f"cover {n} has total measure {total.numerator}/2^{exp},"
                     f" not below 2^-{n + 1}"
                 )
+        super().__init__(covers)
 
     @property
     def depth(self) -> int:
@@ -77,12 +76,11 @@ class CoverFamily:
         )
 
 
-@dataclass(frozen=True)
 class NullParam(RowParam):
     """Matrix-coded parameter plus per-row stage witnesses; state i of row
     n is its guarded scan up to term n+i."""
 
-    witness: tuple
+    _fields = ("prefix", "witness")
 
     def cell(self, n: int, k: int) -> int:
         return matrix_entry(self.prefix, n, k)
@@ -173,13 +171,12 @@ def null_member(f: NullParam, z: BitWord, n_levels: int) -> Tri:
     return Tri.UNKNOWN
 
 
-@dataclass(frozen=True)
-class NullEncoding:
-    """Encoder output plus the flattening data the laws are stated over."""
+class NullEncoding(Record):
+    """Encoder output plus the flattening data the laws are stated over:
+    ``flat``, the flattened cover pieces, pads included, and ``cuts``, the
+    cut points a_0 .. a_(depth)."""
 
-    param: NullParam
-    flat: tuple          # the flattened cover pieces, pads included
-    cuts: tuple          # cut points a_0 .. a_(depth)
+    _fields = ("param", "flat", "cuts")
 
 
 def _flatten(family: CoverFamily):

@@ -1,5 +1,6 @@
 """Cylinder algebra on Cantor space, plus the coding bijections, the
-matrix coding of parameters, ``RowParam``: a matrix-coded parameter
+matrix coding of parameters, ``Record``: the frozen-record base of every
+value class in the package, ``RowParam``: a matrix-coded parameter
 whose rows are read stage by stage through one per-row state memo
 (``state``), shared by the null and F_sigma parameters, and
 ``FsigmaParam``: the F_sigma row parameter and its one three-valued
@@ -19,12 +20,10 @@ operation is pure, so sharing across threads is unrestricted.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Iterable, Sequence
+from operator import attrgetter
 
 from .errors import IndexOutOfRange, InsufficientPrefix, LevelCapExceeded
 
@@ -66,6 +65,55 @@ def _naturals(value, many: bool = False, what: str = "parameter entries"):
         if v < 0:
             raise IndexOutOfRange(f"{what} are naturals")
     return values if many else value
+
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its compared fields once, in order, in ``_fields``;
+    the inherited ``__init__`` takes them positionally, and a subclass
+    that checks its arguments does so in its own ``__init__`` before
+    calling this one.  Equality holds only between instances of one class
+    with equal fields, the hash is the hash of the field tuple, and
+    ``repr`` lists the fields as ``Name(field=value, ...)``.  Every
+    attribute assignment or deletion on an instance raises
+    AttributeError, so a field, once set here, never changes.  An
+    attribute set in ``__init__`` outside ``_fields`` takes no part in
+    equality, hashing or ``repr``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        # the field tuple of an instance; attrgetter answers a tuple only
+        # for two or more names
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Tri(Enum):
@@ -146,8 +194,7 @@ def _reduce_once(level: int, mask: int) -> tuple[int, int]:
     return level - 1, mask
 
 
-@dataclass(frozen=True, slots=True)
-class Clopen:
+class Clopen(Record):
     """Canonical finite union of same-level cylinders of Cantor space.
 
     ``mask`` has bit i set exactly when the word of lexicographic rank i
@@ -156,16 +203,17 @@ class Clopen:
     could be written at a smaller level.
     """
 
-    level: int
-    mask: int
+    __slots__ = _fields = ("level", "mask")
 
-    def __post_init__(self):
-        if self.level < 0:
+    def __init__(self, level: int, mask: int):
+        if level < 0:
             raise ValueError("negative level")
-        if not 0 <= self.mask < (1 << (1 << self.level)):
+        if not 0 <= mask < (1 << (1 << level)):
             raise ValueError("mask out of range for level")
-        if _reducible(self.level, self.mask):
+        if _reducible(level, mask):
             raise ValueError("non-canonical clopen representation")
+        _set_level(self, level)
+        _set_mask(self, mask)
 
     # -- constructors ---------------------------------------------------
 
@@ -218,6 +266,8 @@ class Clopen:
         return self.mask.bit_count()
 
     def measure(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.mask.bit_count(), 1 << self.level)
 
     def mask_at(self, level: int) -> int:
@@ -317,6 +367,11 @@ class Clopen:
         return f"Clopen(level={self.level}, words={self.words()})"
 
 
+# the setters of Clopen's two slots; a Clopen is built on every hot path,
+# and these skip the lookup of object.__setattr__ past the refusing one
+_set_level, _set_mask = Clopen.level.__set__, Clopen.mask.__set__
+
+
 def canonicalize(level: int, words: Iterable[BitWord]) -> Clopen:
     """Canonical representative of a union of level-`level` cylinders."""
     _require_level(level)
@@ -398,8 +453,7 @@ def matrix_entry(f: Sequence[int], n: int, k: int, *, zero_past_end: bool = Fals
     return f[idx]
 
 
-@dataclass(frozen=True)
-class RowParam:
+class RowParam(Record):
     """A matrix-coded prefix read one row at a time, and the memo of each
     row's stage states; a subclass's ``_step`` says how a row's state
     grows.
@@ -411,8 +465,11 @@ class RowParam:
     hashing, ``repr`` or JSON.
     """
 
-    prefix: tuple
-    _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("prefix",)
+
+    def __init__(self, *values):
+        super().__init__(*values)
+        object.__setattr__(self, "_states", {})
 
     def _step(self, r: int, cap: int) -> Callable:
         """The step of row r's state under `cap`."""
@@ -438,7 +495,6 @@ class RowParam:
         return state
 
 
-@dataclass(frozen=True)
 class FsigmaParam(RowParam):
     """Rows of open-set parameters packed into one matrix-coded prefix,
     and the F_sigma evaluator over them; a subclass's ``_row_terms`` says
@@ -450,8 +506,7 @@ class FsigmaParam(RowParam):
     horizon survive every admissible stage refinement.
     """
 
-    rows: int
-    horizon: int
+    _fields = ("prefix", "rows", "horizon")
 
     def _row_terms(self, r: int, cap: int) -> Callable[[int], Clopen]:
         """Read row r's cells to the horizon and return its term function."""

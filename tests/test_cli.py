@@ -366,24 +366,27 @@ NINES = "9" * 3000
         ["fubini", "diagnose", "--rows", "[1]", "--proxy", "nwd"],
         ["fubini", "diagnose", "--rows", '"1"', "--proxy", "nwd"],
         ["fubini", "diagnose", "--rows", '{"1":0}', "--proxy", "nwd"],
+        ["meager", "fxp", "--x", "0", "--y", "[0]", "--z", "2" * 1_000_000],
     ],
     ids=[
         "deep-json-file", "deep-json-inline", "pair-past-digit-limit", "seq-past-digit-limit",
         "float-overflow", "seq-without-encode-or-decode", "null-proxy-without-epsilon",
         "diagnose-row-not-a-string", "diagnose-rows-a-string", "diagnose-rows-an-object",
+        "word-of-a-million-characters",
     ],
 )
 def test_hostile_argv_ends_in_one_malformed_input_document(argv, tmp_path):
     # a too-deeply nested JSON argument, an answer past the int-to-str digit
     # limit, a float too large for int() and a missing optional JSON flag
-    # each used to end in a traceback
+    # each used to end in a traceback; a rejected word used to be echoed
+    # whole
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 5000)
     argv = [f"@{deep}" if a == "@DEEP" else a for a in argv]
     start = time.perf_counter()
     code, out = run_cli(argv)
     assert time.perf_counter() - start < 1.0
-    assert code == 1 and out.count("\n") == 1
+    assert code == 1 and out.count("\n") == 1 and len(out.encode()) < 300
     assert json.loads(out)["error"] == "MalformedInput"
 
 

@@ -176,6 +176,14 @@ class TestDiagnostic:
         with pytest.raises(LengthMismatch):
             section_diagnostic(["10", "0"], DensityProxy(1, 1))
 
+    def test_a_row_that_is_not_a_0_1_word_is_refused(self):
+        # int(_, 2) reads "_" as a digit separator and skips outer spaces,
+        # so these rows used to be read as shorter words
+        for rows in (["1_01", "0_10", "11_1", "0000"], [" 10 ", "0000", "0000", "0000"], ["12", "01"]):
+            for proxy in (DensityProxy(1, 1), SomewhereDenseProxy(1)):
+                with pytest.raises(ValueError):
+                    section_diagnostic(rows, proxy)
+
     def test_a_square_past_the_cap_is_refused_before_any_row_is_read(self):
         with pytest.raises(LevelCapExceeded) as e:
             section_diagnostic([""] * 8192, DensityProxy(1, 1))

@@ -4,13 +4,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealis.closed_null import EParam
+from idealis.closed_null import EParam, ETripleParam
+from idealis.countable import CountableParam
+from idealis.domination import KsigmaParam, LaverParam
+from idealis.enumerations import BaireCylinder
 from idealis.errors import IndexOutOfRange, InsufficientPrefix
-from idealis.meager import MeagerParam
+from idealis.fubini import DensityProxy, ProductParam, ProductPoint, SomewhereDenseProxy
+from idealis.meager import IntervalPartition, MeagerParam
+from idealis.nullset import CoverFamily, NullEncoding, NullParam
 from idealis.space import (
     SEQ_CODE_BITS,
     Clopen,
     FsigmaParam,
+    RowParam,
     _reduce_once,
     _reducible,
     Tri,
@@ -372,14 +378,73 @@ class TestFsigmaParam:
         assert repr(e) == "EParam(prefix=(1, 2, 3), rows=1, horizon=0)"
 
     def test_subclasses_declare_no_fields_and_stay_frozen(self):
-        from dataclasses import FrozenInstanceError, fields
-
-        names = [f.name for f in fields(FsigmaParam)]
+        names = FsigmaParam._fields
+        assert names == ("prefix", "rows", "horizon")
         for kind in (MeagerParam, EParam):
-            assert [f.name for f in fields(kind)] == names
+            assert kind._fields == names and "_fields" not in vars(kind)
+            p = kind((), 0, 0)
             for name in ("rows", "extra"):
-                with pytest.raises(FrozenInstanceError):
-                    setattr(kind((), 0, 0), name, 1)
+                with pytest.raises(AttributeError):
+                    setattr(p, name, 1)
+                assert getattr(p, name, None) == (0 if name == "rows" else None)
+
+
+# one sample of each immutable value class: the constructor arguments,
+# the compared fields and the repr
+RECORDS = [
+    (Clopen, (2, 6), (2, 6), "Clopen(level=2, words=['01', '10'])"),
+    (RowParam, ((1, 2),), ((1, 2),), "RowParam(prefix=(1, 2))"),
+    (FsigmaParam, ((1, 2, 3), 1, 0), ((1, 2, 3), 1, 0),
+     "FsigmaParam(prefix=(1, 2, 3), rows=1, horizon=0)"),
+    (BaireCylinder, ((0, 2),), ((0, 2),), "BaireCylinder(stem=(0, 2))"),
+    (CoverFamily, (((Clopen(2, 1),),),), (((Clopen(2, 1),),),),
+     "CoverFamily(covers=((Clopen(level=2, words=['00']),),))"),
+    (NullParam, ((1, 2, 3), (1,)), ((1, 2, 3), (1,)), "NullParam(prefix=(1, 2, 3), witness=(1,))"),
+    (NullEncoding, (NullParam((), ()), (), (0,)), (NullParam((), ()), (), (0,)),
+     "NullEncoding(param=NullParam(prefix=(), witness=()), flat=(), cuts=(0,))"),
+    (IntervalPartition, (((0, 1), (1, 3)),), (((0, 1), (1, 3)),),
+     "IntervalPartition(intervals=((0, 1), (1, 3)))"),
+    (MeagerParam, ((1, 2, 3), 1, 0), ((1, 2, 3), 1, 0),
+     "MeagerParam(prefix=(1, 2, 3), rows=1, horizon=0)"),
+    (ETripleParam, ((0,), (1,), (2,)), ((0,), (1,), (2,)), "ETripleParam(x0=(0,), x1=(1,), x2=(2,))"),
+    (EParam, ((1, 2, 3), 1, 0), ((1, 2, 3), 1, 0), "EParam(prefix=(1, 2, 3), rows=1, horizon=0)"),
+    (CountableParam, ((1, 2), 1), ((1, 2), 1), "CountableParam(prefix=(1, 2), rows=1)"),
+    (KsigmaParam, ((3, 1),), ((3, 1),), "KsigmaParam(bound=(3, 1))"),
+    # the sequences beside the codes are not compared
+    (LaverParam, (((3, 2),), ((1,),)), (((3, 2),),), "LaverParam(entries=((3, 2),))"),
+    (ProductPoint, ("01", "10"), ("01", "10"), "ProductPoint(y='01', z='10')"),
+    (ProductParam, ("nm", NullParam((), ()), MeagerParam((), 0, 0)),
+     ("nm", NullParam((), ()), MeagerParam((), 0, 0)),
+     "ProductParam(variant='nm', first=NullParam(prefix=(), witness=()),"
+     " second=MeagerParam(prefix=(), rows=0, horizon=0))"),
+    # kept in lowest terms
+    (DensityProxy, (6, 3), (3, 2), "DensityProxy(num=3, exp=2)"),
+    (SomewhereDenseProxy, (1,), (1,), "SomewhereDenseProxy(split=1)"),
+]
+
+
+@pytest.mark.parametrize("kind, args, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_every_value_class_compares_hashes_shows_and_freezes_its_fields(kind, args, fields, text):
+    value = kind(*args)
+    assert value == kind(*args) and not value != kind(*args)
+    assert value != fields and hash(value) == hash(kind(*args)) == hash(fields)
+    assert repr(value) == text
+    first = text[len(kind.__name__) + 1:].partition("=")[0]
+    before = getattr(value, first)
+    with pytest.raises(AttributeError):
+        setattr(value, first, 1)
+    with pytest.raises(AttributeError):
+        delattr(value, first)
+    assert getattr(value, first) is before and value == kind(*args)
+
+
+@pytest.mark.parametrize("kind, args", [r[:2] for r in RECORDS], ids=[r[0].__name__ for r in RECORDS])
+def test_no_value_class_takes_a_new_attribute(kind, args):
+    # a frozen dataclass with slots raised TypeError here, not AttributeError
+    value = kind(*args)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not hasattr(value, "extra")
 
 
 class TestMatrixEntry:
