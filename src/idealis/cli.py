@@ -1,10 +1,14 @@
 """Command-line entry point.
 
 One subcommand per construction, each declared once in ``COMMANDS``: its
-help text, its handler and, per op, its flags as argparse keywords.
-``build_parser`` is one loop over that table.  A handler imports its
-construction module when it runs, so loading the CLI loads only
-``space`` and ``errors``.
+help text, its handler and, per op, its flags as argparse keywords.  A
+call builds and parses with only its op's parser, `_op_parser`, when argv
+names a command and one of its ops (or ``check``).  The whole tree from
+`build_parser`, which holds those same op parsers, runs only for help,
+``--version``, a missing or unknown command or op, arguments the op
+leaves over, or an argument starting ``--=``, so every usage text and
+error reads as before.  A handler imports its construction module when it
+runs, so loading the CLI loads only ``space`` and ``errors``.
 
 JSON in and JSON out: arguments accept inline JSON or @path to read a
 file, output is a single JSON document with sorted keys, and parameter
@@ -362,9 +366,22 @@ COMMANDS = {
 
 
 @functools.cache
+def _op_parser(command: str, op) -> argparse.ArgumentParser:
+    """The parser of one op's flags, or of `command`'s own flags when `op`
+    is None, built once per process.  `main` parses a leaf argv with it
+    alone, and `build_parser` hangs the same object in the whole tree."""
+    prog = f"idealis {command}" if op is None else f"idealis {command} {op}"
+    parser = argparse.ArgumentParser(prog=prog)
+    for flag, keywords in COMMANDS[command][2][op].items():
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser for ``COMMANDS``, built once per process and
-    reused by `main`."""
+    """The argument parser for all of ``COMMANDS``, built once per process.
+    Each sub-parsers action dispatches through its ``choices`` map, which
+    holds the `_op_parser` leaves."""
     top = argparse.ArgumentParser(
         prog="idealis",
         description="exact finite-stage toolkit for universal-set constructions",
@@ -373,19 +390,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for command, (help_text, _, ops) in COMMANDS.items():
         parser = sub.add_parser(command, help=help_text)
-        if None not in ops:
-            op_parsers = parser.add_subparsers(dest="op", required=True)
-        for op, flags in ops.items():
-            target = parser if op is None else op_parsers.add_parser(op)
-            for flag, keywords in flags.items():
-                target.add_argument(flag, **keywords)
+        if None in ops:
+            sub.choices[command] = _op_parser(command, None)
+            continue
+        op_parsers = parser.add_subparsers(dest="op", required=True)
+        for op in ops:
+            op_parsers.choices[op] = _op_parser(command, op)
     return top
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """`argv` parsed.  When it names a command and one of its ops, or
+    ``check``, whose flags sit on the command, the op's parser alone reads
+    the rest.  The whole tree reads anything else, and also a leaf argv
+    that leaves arguments over or holds one starting ``--=``: only the
+    tree words those errors as ``idealis`` does."""
+    ops = COMMANDS[argv[0]][2] if argv and argv[0] in COMMANDS else {}
+    op = argv[1] if None not in ops and len(argv) > 1 and argv[1] in ops else None
+    if op in ops and not any(a.startswith("--=") for a in argv):
+        rest = argv[1:] if op is None else argv[2:]
+        args, extras = _op_parser(argv[0], op).parse_known_args(rest)
+        if not extras:
+            args.command, args.op = argv[0], op
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:

@@ -27,8 +27,6 @@ covered point evaluate as a member.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InsufficientPrefix, InvariantViolated
 from .space import (
     BitWord, Clopen, Record, RowParam, Tri, _naturals, check_word, matrix_entry, max_level,
@@ -51,11 +49,14 @@ class CoverFamily(Record):
 
     def __init__(self, covers: tuple):
         for n, pieces in enumerate(covers):
-            total = sum((c.measure() for c in pieces), Fraction(0))
-            if not total < Fraction(1, 2 << n):
-                exp = total.denominator.bit_length() - 1
+            # the total measure is words / 2^e, and 2^-(n+1) is 2^(e-n-1) words
+            e = max((c.level for c in pieces), default=0) + n + 1
+            words = sum(_words(c, e) for c in pieces)
+            if not words < 1 << (e - n - 1):
+                # the total in lowest terms; words is not 0 here
+                shift = min((words & -words).bit_length() - 1, e)
                 raise InvariantViolated(
-                    f"cover {n} has total measure {total.numerator}/2^{exp},"
+                    f"cover {n} has total measure {words >> shift}/2^{e - shift},"
                     f" not below 2^-{n + 1}"
                 )
         super().__init__(covers)
@@ -187,18 +188,25 @@ def _flatten(family: CoverFamily):
     return flat
 
 
-def _cut_points(flat: Sequence[Clopen], depth: int) -> list[int]:
-    suffix = [Fraction(0)] * (len(flat) + 1)
-    for i in range(len(flat) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + flat[i].measure()
+def _words(c: Clopen, e: int) -> int:
+    """The measure of `c` in words of level e, at or below c's level."""
+    return c.mask.bit_count() << (e - c.level)
 
-    def tail(k: int) -> Fraction:
-        return suffix[k + 1] if k + 1 <= len(flat) else Fraction(0)
+
+def _cut_points(flat: Sequence[Clopen], depth: int) -> list[int]:
+    # measures counted in words at one level e, so 2^-m is 2^(e-m) words
+    e = max((c.level for c in flat), default=0) + depth
+    suffix = [0] * (len(flat) + 1)
+    for i in range(len(flat) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + _words(flat[i], e)
+
+    def tail(k: int) -> int:
+        return suffix[k + 1] if k + 1 <= len(flat) else 0
 
     cuts = [0]
     for m in range(1, depth + 1):
         k = cuts[-1] + 1
-        while not tail(k) < Fraction(1, 1 << m):
+        while not tail(k) < 1 << (e - m):
             k += 1
         cuts.append(k + 1)
     return cuts

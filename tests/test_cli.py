@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -41,6 +42,54 @@ def test_parser_reused_after_rejected_argv():
     assert run_cli(["space", "pair", "--m", "x"])[0] == 1
     case = json.loads((GOLDEN_DIR / "space_pair.json").read_text())
     assert run_cli(case["argv"]) == (case["exit"], case["stdout"])
+
+
+def test_a_leaf_argv_builds_only_its_op_parser():
+    # a fresh interpreter, so no other test has built the whole tree
+    script = "\n".join([
+        "import contextlib, io",
+        "from idealis import cli",
+        "for _ in range(2):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.main(['space', 'pair', '--m', '1', '--n', '2']) == 0",
+        "info = cli._op_parser.cache_info()",
+        "print(cli.build_parser.cache_info().currsize, info.misses, info.hits)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["0", "1", "1"]
+
+
+def test_every_parser_formats_help_as_an_add_parser_tree_does(monkeypatch):
+    # the tree built with argparse's add_parser at every level, as a
+    # reference for the progs and help texts of the tree main uses
+    monkeypatch.setenv("COLUMNS", "100")
+    want = argparse.ArgumentParser(prog="idealis", description=build_parser().description)
+    want.add_argument("--version", action="version", version="unused")
+    sub = want.add_subparsers(dest="command", required=True)
+    for command, (help_text, _, ops) in COMMANDS.items():
+        parser = sub.add_parser(command, help=help_text)
+        if None not in ops:
+            op_parsers = parser.add_subparsers(dest="op", required=True)
+        for op, flags in ops.items():
+            target = parser if op is None else op_parsers.add_parser(op)
+            for flag, keywords in flags.items():
+                target.add_argument(flag, **keywords)
+
+    def parsers(top):
+        yield top
+        for command, parser in subparsers(top).choices.items():
+            yield parser
+            if None not in COMMANDS[command][2]:
+                yield from subparsers(parser).choices.values()
+
+    def subparsers(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    got = [(p.format_usage(), p.format_help()) for p in parsers(build_parser())]
+    assert got == [(p.format_usage(), p.format_help()) for p in parsers(want)]
 
 
 def test_goldens_cover_every_subcommand():

@@ -11,24 +11,33 @@ number (negative, huge, or not an integer at all), a 0/1 word, a prefix of
 itself, its JSON with one part replaced, or JSON nested thousands deep.  No
 mutation draws ``--help`` or ``--version``, which print text by design, or
 a value starting with ``@``, which names a file to read.
+
+A second property holds `main` to the whole parser tree.  `main` reads a
+leaf argv with its op's parser alone; on every golden argv, and on argvs
+mutated the ways argparse treats apart (help and version flags, ``--``
+and ``--=x``, flag abbreviations, a dropped, unknown or stray name, a
+repeated or ``--flag=value`` flag), its stdout, stderr and exit code
+match a run that parses with ``build_parser()`` alone, under a narrow and
+a wide ``COLUMNS``.
 """
 
 import io
 import json
+import os
 import pathlib
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from idealis.cli import COMMANDS, main
+from idealis import cli
+from idealis.cli import COMMANDS, build_parser, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-ARGVS = [
-    argv
-    for argv in (json.loads(p.read_text())["argv"] for p in sorted(GOLDEN_DIR.glob("*.json")))
-    if argv[0] != "check"
-]
+GOLDEN = {p.stem: json.loads(p.read_text())["argv"] for p in sorted(GOLDEN_DIR.glob("*.json"))}
+ARGVS = [argv for argv in GOLDEN.values() if argv[0] != "check"]
 FLAGS = sorted({flag for _, _, ops in COMMANDS.values() for flags in ops.values() for flag in flags})
 CHOICES = sorted(
     {
@@ -204,3 +213,81 @@ def test_a_mutated_golden_argv_keeps_the_exit_contract(case):
     else:
         assert set(doc) == {"error", "detail"}
         assert (doc["error"] == "MalformedInput") == (code == 1)
+
+
+# -- parity with the whole parser tree ------------------------------------------
+
+OPS = sorted({op for _, _, ops in COMMANDS.values() for op in ops if op is not None})
+TOKENS = [
+    "-h", "--help", "--version", "--vers", "--h", "--he", "--=x", "--=", "--", "-",
+    "-x", "--bogus", "stray", "", "-1", "--help=x",
+]
+
+
+@st.composite
+def parse_mutated_argvs(draw):
+    argv = list(draw(st.sampled_from(list(GOLDEN.values()))))
+    for _ in range(draw(st.integers(1, 2))):
+        flags = [i for i, a in enumerate(argv) if a.startswith("--") and len(a) > 2]
+        kinds = ["token"] * 3 + ["drop-op", "swap-op", "swap-command", "cut", "value"]
+        if flags:
+            kinds += ["abbreviate", "repeat", "join"] * 2
+        kind = draw(st.sampled_from(kinds))
+        if kind == "token":
+            token = draw(st.sampled_from(TOKENS + FLAGS + OPS + list(COMMANDS)))
+            argv.insert(draw(st.integers(0, len(argv))), token)
+        elif kind == "drop-op" and len(argv) > 1:
+            del argv[1]
+        elif kind == "swap-op" and len(argv) > 1:
+            argv[1] = draw(st.sampled_from(OPS + ["bogus"]))
+        elif kind == "swap-command" and argv:
+            argv[0] = draw(st.sampled_from(list(COMMANDS) + ["bogus"]))
+        elif kind == "cut":
+            del argv[draw(st.integers(0, len(argv))) :]
+        elif kind == "value" and argv:
+            argv[draw(st.integers(0, len(argv) - 1))] = draw(st.sampled_from(["1", "x", "-1", "01"]))
+        elif kind == "abbreviate":
+            i = draw(st.sampled_from(flags))
+            argv[i] = argv[i][: draw(st.integers(2, len(argv[i]) - 1))]
+        elif kind == "repeat":
+            i = draw(st.sampled_from(flags))
+            argv += argv[i : i + 2]
+        elif kind == "join" and flags:
+            i = draw(st.sampled_from([i for i in flags if i + 1 < len(argv)] or flags))
+            argv[i : i + 2] = ["=".join(argv[i : i + 2])]
+    assert not any(a.startswith("@") for a in argv)
+    return argv
+
+
+def outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def both_outcomes(argv, columns):
+    """`main(argv)`, then the same run with the whole tree parsing."""
+    with mock.patch.dict(os.environ, {"COLUMNS": columns}):
+        got = outcome(argv)
+        with mock.patch.object(cli, "_parse", lambda argv: build_parser().parse_args(argv)):
+            want = outcome(argv)
+    return got, want
+
+
+COLUMNS = ["40", "160"]
+
+
+@pytest.mark.parametrize("columns", COLUMNS)
+@pytest.mark.parametrize("name", GOLDEN)
+def test_a_golden_argv_parses_as_the_whole_tree_does(name, columns):
+    got, want = both_outcomes(GOLDEN[name], columns)
+    assert got == want
+
+
+@pytest.mark.parametrize("columns", COLUMNS)
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=parse_mutated_argvs())
+def test_a_mutated_argv_parses_as_the_whole_tree_does(argv, columns):
+    got, want = both_outcomes(argv, columns)
+    assert got == want

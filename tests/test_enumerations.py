@@ -55,7 +55,7 @@ def rank_in_level(level, n, mask):
     return -_level_walk(level, n, 0, mask)[1]
 
 
-class TestTsum:
+class TestBinomialPrefix:
     """T(b, q), the binomial prefix sum ``_binomial_prefix`` returns first."""
 
     def test_matches_binomial_prefix_sums(self):
