@@ -189,7 +189,7 @@ def _flatten(family: CoverFamily):
 
 
 def _words(c: Clopen, e: int) -> int:
-    """The measure of `c` in words of level e, at or below c's level."""
+    """The measure of `c` as a count of level-e words, for e at least c's level."""
     return c.mask.bit_count() << (e - c.level)
 
 
